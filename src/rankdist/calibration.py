@@ -22,12 +22,12 @@ from .core import (
     InfeasibleTargetError,
     FitFailedError,
     NegativeInputError,
-    NonIntegerBoundaryError,
     RankedShares,
     RankModelError,
     RankParameters,
     VolatilityTable,
     bracket_to_ranks,
+    per_rank_values,
     prefix_sum,
 )
 from .stable import alpha_from_shares
@@ -44,6 +44,11 @@ __all__ = [
 
 #: Interior segment knees in percent rank: the top 0.01% and the top 10%.
 DEFAULT_BREAKPOINTS: Tuple[float, float] = (0.01, 10.0)
+
+#: Starting slopes of the fit's Nelder-Mead restarts, tried in order.
+_STARTS = ((-0.9, -0.75, -1.5), (-0.7, -0.85, -1.9), (-1.1, -0.6, -1.2),
+           (-0.5, -0.5, -2.3), (-1.4, -1.0, -1.0), (-0.8, -1.2, -1.6),
+           (-0.3, -0.9, -2.0), (-1.0, -0.4, -2.6))
 
 _DEFAULT_VOL_BRACKETS = ((0.0, 10.0), (10.0, 20.0), (20.0, 40.0),
                          (40.0, 60.0), (60.0, 100.0))
@@ -103,32 +108,24 @@ def expand_sigma(table: VolatilityTable, n: int, variant: str) -> np.ndarray:
     Gap k (between ranks k and k+1) takes the value of the bracket containing
     its upper rank k; the result is piecewise constant.
     """
-    values = table.variant(variant)
-    sigma = np.empty(n - 1)
-    for value, bracket in zip(values, table.brackets):
-        lo_rank, hi_rank = bracket_to_ranks(bracket, n)
-        sigma[lo_rank - 1:min(hi_rank, n - 1)] = value
-    return sigma
+    return per_rank_values(table.brackets, table.variant(variant), n)[:n - 1]
 
 
-def _segment_index(n: int, breakpoints: Tuple[float, float]) -> np.ndarray:
-    """Segment id (0, 1, 2) of each gap k = 1..n-1, by the gap's upper rank."""
+def _segment_index(n: int, breakpoints: Tuple[float, float]
+                   ) -> Tuple[np.ndarray, int, int]:
+    """Segment id (0, 1, 2) of each gap k = 1..n-1, by the gap's upper rank,
+    and the knee ranks b1, b2."""
     b1_pct, b2_pct = breakpoints
     if not (0.0 < b1_pct < b2_pct < 100.0):
         raise RankModelError(f"breakpoints {breakpoints} must be interior "
                              f"percents in increasing order")
-    for pct in (b1_pct, b2_pct):
-        exact = pct * n / 100.0
-        if abs(exact - round(exact)) > 1e-6 * max(1.0, exact):
-            raise NonIntegerBoundaryError(
-                f"breakpoint {pct}% maps to non-integer rank {exact} at n={n}")
-    b1 = round(b1_pct * n / 100.0)
-    b2 = round(b2_pct * n / 100.0)
+    after_b1, b2 = bracket_to_ranks(breakpoints, n)
+    b1 = after_b1 - 1
     seg = np.empty(n - 1, dtype=np.intp)
     seg[:b1] = 0
     seg[b1:b2] = 1
     seg[b2:] = 2
-    return seg
+    return seg, b1, b2
 
 
 def _shares_from_slopes(slopes: np.ndarray, seg: np.ndarray,
@@ -142,7 +139,6 @@ def _shares_from_slopes(slopes: np.ndarray, seg: np.ndarray,
 
 def fit_piecewise_pareto(target: GroupedShares, n: int,
                          breakpoints: Tuple[float, float] = DEFAULT_BREAKPOINTS,
-                         *, max_restarts: int = 8,
                          ) -> Tuple[RankedShares, PiecewiseLogLogFit]:
     """Fill in a full ranked distribution from grouped share targets.
 
@@ -153,21 +149,20 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
     starting simplices keep the search deterministic; the best objective
     wins, ties broken by restart order.
     """
+    bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                             for b in target.brackets], dtype=np.intp)
     # A descending fit requires the target's average per-household share to
     # decrease with depth; otherwise no negative-slope curve can match it.
-    widths = np.array([bracket_to_ranks(b, n)[1] - bracket_to_ranks(b, n)[0] + 1
-                       for b in target.brackets], dtype=np.float64)
-    density = target.shares / widths
-    if np.any(np.diff(density) >= 0) and not np.allclose(density, density[0]):
+    density = target.shares / np.diff(bounds)
+    uniform = np.allclose(density, density[0])
+    if np.any(np.diff(density) >= 0) and not uniform:
         raise InfeasibleTargetError(
             "target bracket density is not strictly decreasing; no "
             "descending piecewise power-law fit exists")
 
-    seg = _segment_index(n, breakpoints)
+    seg, b1, b2 = _segment_index(n, breakpoints)
     ranks = np.arange(1, n + 2, dtype=np.float64)
     dlog = np.diff(np.log(ranks))[:n - 1]
-    bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
-                             for b in target.brackets], dtype=np.intp)
     target_vec = target.shares
 
     def bracket_sums(shares: np.ndarray) -> np.ndarray:
@@ -178,42 +173,34 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
         shares = _shares_from_slopes(np.asarray(slopes), seg, dlog)
         return float(np.abs(bracket_sums(shares) - target_vec).sum())
 
-    if np.allclose(density, density[0]):
+    if uniform:
         # Degenerate uniform target: zero slopes fit exactly.
-        shares = _shares_from_slopes(np.zeros(3), seg, dlog)
-        fit = PiecewiseLogLogFit(
-            breakpoints=(1, int(round(breakpoints[0] * n / 100.0)),
-                         int(round(breakpoints[1] * n / 100.0)), n),
-            slopes=(0.0, 0.0, 0.0),
-            intercept=float(np.log(shares[0])),
-            fit_error=objective(np.zeros(3)))
-        return RankedShares(n=n, shares=shares), fit
+        slopes = np.zeros(3)
+        fit_error = objective(slopes)
+    else:
+        best = None
+        for start in _STARTS:
+            result = minimize(objective, start, method="Nelder-Mead",
+                              options=dict(xatol=1e-8, fatol=1e-12,
+                                           maxiter=3000))
+            if best is None or result.fun < best.fun - 1e-15:
+                best = result
+            if best.fun < 1e-3:
+                break
+        if not np.all(np.isfinite(best.x)):
+            raise FitFailedError("piecewise log-log fit did not converge")
+        slopes = np.asarray(best.x, dtype=np.float64)
+        fit_error = float(best.fun)
 
-    starts = [(-0.9, -0.75, -1.5), (-0.7, -0.85, -1.9), (-1.1, -0.6, -1.2),
-              (-0.5, -0.5, -2.3), (-1.4, -1.0, -1.0), (-0.8, -1.2, -1.6),
-              (-0.3, -0.9, -2.0), (-1.0, -0.4, -2.6)]
-    best = None
-    for start in starts[:max_restarts]:
-        result = minimize(objective, start, method="Nelder-Mead",
-                          options=dict(xatol=1e-8, fatol=1e-12, maxiter=3000))
-        if best is None or result.fun < best.fun - 1e-15:
-            best = result
-        if best.fun < 1e-3:
-            break
-    if best is None or not np.all(np.isfinite(best.x)):
-        raise FitFailedError("piecewise log-log fit did not converge")
-
-    slopes = np.asarray(best.x, dtype=np.float64)
     shares = _shares_from_slopes(slopes, seg, dlog)
-    if np.any(np.diff(shares) >= 0):
+    if not uniform and np.any(np.diff(shares) >= 0):
         raise FitFailedError("fitted shares are not strictly descending "
                              "(a fitted slope is nonnegative)")
     fit = PiecewiseLogLogFit(
-        breakpoints=(1, int(round(breakpoints[0] * n / 100.0)),
-                     int(round(breakpoints[1] * n / 100.0)), n),
+        breakpoints=(1, b1, b2, n),
         slopes=tuple(float(s) for s in slopes),
         intercept=float(np.log(shares[0])),
-        fit_error=float(best.fun))
+        fit_error=fit_error)
     return RankedShares(n=n, shares=shares), fit
 
 

@@ -13,22 +13,17 @@ The JSON config selects the population size, sigma variant, data files
 block.  Command-line flags override config fields.  Exit codes: 0 success,
 1 validation/parse errors, 2 when a command that requires stability meets an
 unstable configuration (projection treats divergence as a valid outcome).
-
-The environment variable ``RANKDIST_THREADS`` caps the number of worker
-threads used by ``report`` to evaluate scenario grid cells (0 or unset =
-automatic).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -96,7 +91,11 @@ def _load_config(args) -> RunConfig:
         value = raw.get(name)
         return None if value is None else (base / value)
 
-    n = int(raw.get("n", 1_000_000))
+    n = raw.get("n", 1_000_000)
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise RankModelError(f"n must be an integer of at least 2, got {n!r}")
     sigma_variant = args.sigma or raw.get("sigma_variant", "low")
     if sigma_variant not in ("low", "high"):
         raise RankModelError(f"sigma variant must be low or high, got "
@@ -184,8 +183,6 @@ def cmd_tax(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     if "seed" not in cfg.sim:
         raise RankModelError("simulate requires --seed (or a config seed)")
-    shares, _fit, params = _calibrated(cfg)
-    adjusted = apply_trend(params, cfg.trend)
     sim_config = SimConfig(
         n=cfg.n,
         dt=float(cfg.sim.get("dt", 0.1)),
@@ -196,6 +193,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         drift_clip=(float(cfg.sim["drift_clip"])
                     if cfg.sim.get("drift_clip") is not None else None),
     )
+    shares, _fit, params = _calibrated(cfg)
+    adjusted = apply_trend(params, cfg.trend)
     path = simulate_ranked(adjusted, sim_config, shares)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -204,16 +203,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print(f"simulated {sim_config.horizon:g} years at dt={sim_config.dt:g} "
           f"(seed {sim_config.seed}); wrote {out / 'path.csv'}")
     return 0
-
-
-def _thread_cap() -> Optional[int]:
-    raw = os.environ.get("RANKDIST_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise RankModelError(f"RANKDIST_THREADS must be an integer, got "
-                             f"{raw!r}")
-    return None if value <= 0 else value
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -228,7 +217,7 @@ def cmd_report(cfg: RunConfig) -> int:
         return scenario_id, taxed, outcome
 
     jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
-    with ThreadPoolExecutor(max_workers=_thread_cap() or len(jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
         results = list(pool.map(lambda job: cell(*job), jobs))
 
     lines = [f"n = {cfg.n}, sigma variant = {cfg.sigma_variant}",

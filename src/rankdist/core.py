@@ -48,7 +48,9 @@ __all__ = [
     "StabilityReport",
     "make_ranked_shares",
     "make_rank_parameters",
+    "check_zero_sum",
     "bracket_to_ranks",
+    "per_rank_values",
     "validate_brackets",
     "group_shares",
     "prefix_sum",
@@ -173,6 +175,14 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def check_zero_sum(alpha: np.ndarray) -> None:
+    """Raise :class:`BadAlphaSumError` unless alpha sums to zero, to 1e-9 of
+    its largest magnitude (or absolutely, when that is below one)."""
+    scale = max(1.0, float(np.max(np.abs(alpha)))) if alpha.size else 1.0
+    if abs(float(alpha.sum())) > 1e-9 * scale:
+        raise BadAlphaSumError(f"alpha sums to {alpha.sum():.3e}, expected 0")
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -283,6 +293,22 @@ class VolatilityTable:
                              f"expected 'low' or 'high'")
 
 
+def _freeze_bracket_values(spec, name: str) -> np.ndarray:
+    """Validate and freeze a (possibly partial) bracket list and its
+    same-length vector of finite values, stored in attribute ``name``."""
+    brackets = tuple((float(lo), float(hi)) for lo, hi in spec.brackets)
+    values = np.asarray(getattr(spec, name), dtype=np.float64)
+    if len(brackets) != values.size:
+        raise RankModelError(f"brackets and {name} differ in length")
+    if not np.all(np.isfinite(values)):
+        raise RankModelError(f"{name} contains non-finite values")
+    validate_brackets(brackets, require_partition=False)
+    values.setflags(write=False)
+    object.__setattr__(spec, "brackets", brackets)
+    object.__setattr__(spec, name, values)
+    return values
+
+
 @dataclass(frozen=True)
 class TrendSpec:
     """Annual log-share growth adjustments by bracket (1/year).
@@ -294,14 +320,7 @@ class TrendSpec:
     growth: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        brackets = tuple((float(lo), float(hi)) for lo, hi in self.brackets)
-        growth = np.asarray(self.growth, dtype=np.float64)
-        if len(brackets) != growth.size:
-            raise RankModelError("brackets and growth differ in length")
-        validate_brackets(brackets, require_partition=False)
-        growth.setflags(write=False)
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "growth", growth)
+        _freeze_bracket_values(self, "growth")
 
 
 @dataclass(frozen=True)
@@ -312,16 +331,8 @@ class TaxSchedule:
     rate: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        brackets = tuple((float(lo), float(hi)) for lo, hi in self.brackets)
-        rate = np.asarray(self.rate, dtype=np.float64)
-        if len(brackets) != rate.size:
-            raise RankModelError("brackets and rate differ in length")
-        validate_brackets(brackets, require_partition=False)
-        if np.any(rate < 0):
+        if np.any(_freeze_bracket_values(self, "rate") < 0):
             raise NegativeInputError("tax rates must be nonnegative")
-        rate.setflags(write=False)
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "rate", rate)
 
 
 @dataclass(frozen=True)
@@ -371,12 +382,10 @@ def make_ranked_shares(values) -> RankedShares:
     return RankedShares(n=arr.size, shares=arr / total)
 
 
-def make_rank_parameters(alpha, sigma, *, tol: float = 1e-9) -> RankParameters:
+def make_rank_parameters(alpha, sigma) -> RankParameters:
     """Construct RankParameters enforcing the sum-zero convention on alpha."""
     alpha = _as_float_vector(alpha, "alpha")
-    scale = max(1.0, float(np.max(np.abs(alpha))))
-    if abs(float(alpha.sum())) > tol * scale:
-        raise BadAlphaSumError(f"alpha sums to {alpha.sum():.3e}, expected 0")
+    check_zero_sum(alpha)
     return RankParameters(n=alpha.size, alpha=alpha, sigma=np.asarray(sigma))
 
 
@@ -399,6 +408,17 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
                 f"at n={n}")
         ranks.append(int(nearest))
     return ranks[0] + 1, ranks[1]
+
+
+def per_rank_values(brackets: Sequence[Bracket], values,
+                    n: int) -> np.ndarray:
+    """Length-n vector holding each bracket's value on the bracket's ranks
+    and zero on ranks no bracket covers."""
+    out = np.zeros(n)
+    for value, bracket in zip(values, brackets):
+        lo_rank, hi_rank = bracket_to_ranks(bracket, n)
+        out[lo_rank - 1:hi_rank] += value
+    return out
 
 
 def validate_brackets(brackets: Sequence[Bracket], *,

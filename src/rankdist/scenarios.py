@@ -29,8 +29,8 @@ from .core import (
     TaxSchedule,
     TrendSpec,
     UnknownScenarioError,
-    bracket_to_ranks,
     group_shares,
+    per_rank_values,
     prefix_sum,
 )
 from .stable import (
@@ -67,14 +67,6 @@ class ProjectionOutcome:
     grouped: GroupedShares
 
 
-def _per_rank_adjustment(brackets, values, n: int) -> np.ndarray:
-    adjustment = np.zeros(n)
-    for value, bracket in zip(values, brackets):
-        lo_rank, hi_rank = bracket_to_ranks(bracket, n)
-        adjustment[lo_rank - 1:hi_rank] += value
-    return adjustment
-
-
 def apply_trend(params: RankParameters, trend: TrendSpec) -> RankParameters:
     """Raise alpha by each bracket's annual share growth rate.
 
@@ -83,7 +75,7 @@ def apply_trend(params: RankParameters, trend: TrendSpec) -> RankParameters:
     disequilibrium, and the projection machinery handles the implied
     aggregate drift.
     """
-    adjustment = _per_rank_adjustment(trend.brackets, trend.growth, params.n)
+    adjustment = per_rank_values(trend.brackets, trend.growth, params.n)
     return RankParameters(n=params.n, alpha=params.alpha + adjustment,
                           sigma=params.sigma)
 
@@ -94,7 +86,7 @@ def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
     A 1% tax reduces the taxed ranks' relative growth by 1%; revenue is
     discarded (no redistribution).  Volatilities are unchanged.
     """
-    adjustment = _per_rank_adjustment(tax.brackets, tax.rate, params.n)
+    adjustment = per_rank_values(tax.brackets, tax.rate, params.n)
     return RankParameters(n=params.n, alpha=params.alpha - adjustment,
                           sigma=params.sigma)
 

@@ -47,10 +47,7 @@ __all__ = [
 class SimConfig:
     """Settings for the ranked-particle simulator.
 
-    ``shock_scale`` selects the mapping from gap volatility sigma_k to the
-    per-particle shock scale delta_k; the default "independent-neighbor"
-    rule uses delta_k = sigma_k / sqrt(2), consistent with
-    sigma_k**2 = delta_k**2 + delta_{k+1}**2 for locally constant delta.
+    ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word.
 
     ``drift_clip`` caps |alpha| (per year) before stepping.  Calibrated
     bottom-boundary growth rates reach thousands per year — they proxy for
@@ -65,7 +62,6 @@ class SimConfig:
     seed: int
     record_every: float
     report_brackets: Tuple[Tuple[float, float], ...]
-    shock_scale: str = "independent-neighbor"
     drift_clip: Optional[float] = None
 
     def __post_init__(self):
@@ -75,9 +71,9 @@ class SimConfig:
             raise RankModelError("dt must be positive")
         if not (self.horizon >= self.record_every > 0):
             raise RankModelError("need horizon >= record_every > 0")
-        if self.shock_scale != "independent-neighbor":
-            raise RankModelError(
-                f"unknown shock_scale rule {self.shock_scale!r}")
+        if not (0 <= self.seed < 2 ** 64):
+            raise RankModelError(f"seed must be in [0, 2**64), got "
+                                 f"{self.seed}")
         if self.drift_clip is not None and self.drift_clip <= 0:
             raise RankModelError("drift_clip must be positive")
         object.__setattr__(self, "report_brackets",
@@ -105,9 +101,15 @@ def _philox(seed: int, step: int) -> np.random.Generator:
         np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
 
 
+#: Steps drawn per Philox stream in the gap oracle.  Not a buffer size: a
+#: chunk's stream is keyed by (seed, chunk index), so this constant selects
+#: which random numbers a run sees, and changing it changes every result of
+#: a run longer than one chunk.
+_ORACLE_CHUNK_STEPS = 1_000_000
+
+
 def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
-                        burn_in: float, seed: int,
-                        chunk_steps: int = 1_000_000) -> float:
+                        burn_in: float, seed: int) -> float:
     """Time-averaged value of a reflected drifting Brownian motion.
 
     The free path Y accumulates increments -kappa*dt + sigma*sqrt(dt)*Z; the
@@ -134,7 +136,7 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     done = 0
     chunk_index = 0
     while done < steps:
-        m = min(chunk_steps, steps - done)
+        m = min(_ORACLE_CHUNK_STEPS, steps - done)
         rng = _philox(seed, chunk_index)
         z = rng.standard_normal(m)
         u = rng.random(m)
@@ -176,6 +178,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     alpha = params.alpha
     if config.drift_clip is not None:
         alpha = np.clip(alpha, -config.drift_clip, config.drift_clip)
+    # Per-particle shock scale delta_k = sigma_k / sqrt(2), consistent with
+    # sigma_k**2 = delta_k**2 + delta_{k+1}**2 for locally constant delta.
     delta = np.empty(n)
     delta[:n - 1] = params.sigma / np.sqrt(2.0)
     delta[n - 1] = params.sigma[n - 2] / np.sqrt(2.0)

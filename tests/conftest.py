@@ -6,10 +6,9 @@ import pytest
 
 import rankdist
 
-# Every thread pool a ``rankdist.cli`` child can start: the report command's
-# own pool and the BLAS pool under numpy (OpenBLAS, or MKL in some builds).
-THREAD_VARS = ("RANKDIST_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-               "MKL_NUM_THREADS")
+# The variables that size the BLAS pool under numpy (OpenBLAS, or MKL in
+# some builds), the one thread pool a ``rankdist.cli simulate`` child has.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture

@@ -198,6 +198,21 @@ class TestCommands:
                                    "grouped_shares": "bad.csv"}))
         assert main(["project", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("overrides, argv", [
+        ({"n": "abc"}, ["project"]),
+        ({"n": 0}, ["project"]),
+        ({}, ["simulate", "--seed", "-1"]),
+    ], ids=["n_not_a_number", "n_zero", "negative_seed"])
+    def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
+                                          argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10000, **overrides}))
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_config_file(self):
         assert main(["project", "--config", "/nonexistent/cfg.json"]) == 1
 

@@ -129,3 +129,16 @@ class TestTrendAndTaxTypes:
     def test_negative_tax_rejected(self):
         with pytest.raises(rd.NegativeInputError):
             rd.TaxSchedule(brackets=((0, 1),), rate=np.array([-0.01]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: rd.TrendSpec(brackets=((0, 1),), growth=np.array([v])),
+        lambda v: rd.TaxSchedule(brackets=((0, 1),), rate=np.array([v])),
+    ], ids=["trend", "tax"])
+    def test_non_finite_rejected(self, make, bad):
+        with pytest.raises(rd.RankModelError, match="non-finite"):
+            make(bad)
+
+    def test_empty_defaults(self):
+        assert rd.TrendSpec().growth.size == 0
+        assert rd.TaxSchedule().rate.size == 0

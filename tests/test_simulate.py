@@ -25,8 +25,8 @@ class TestGapOracle:
     def test_deterministic_across_chunking(self):
         kwargs = dict(kappa=0.2, sigma=0.3, dt=1e-3, horizon=200.0,
                       burn_in=20.0, seed=42)
-        a = rd.simulate_gap_oracle(**kwargs, chunk_steps=1_000_000)
-        b = rd.simulate_gap_oracle(**kwargs, chunk_steps=1_000_000)
+        a = rd.simulate_gap_oracle(**kwargs)
+        b = rd.simulate_gap_oracle(**kwargs)
         assert a == b
 
 
