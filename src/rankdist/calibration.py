@@ -121,10 +121,7 @@ def _segment_index(n: int, breakpoints: Tuple[float, float]
                              f"percents in increasing order")
     after_b1, b2 = bracket_to_ranks(breakpoints, n)
     b1 = after_b1 - 1
-    seg = np.empty(n - 1, dtype=np.intp)
-    seg[:b1] = 0
-    seg[b1:b2] = 1
-    seg[b2:] = 2
+    seg = np.repeat(np.arange(3), (b1, b2 - b1, n - 1 - b2))
     return seg, b1, b2
 
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
 
-import numpy as np
-
 from . import fileio
 from .calibration import (
     DEFAULT_BREAKPOINTS,
@@ -43,6 +41,7 @@ from .core import (
     TrendSpec,
     UnstableError,
     VolatilityTable,
+    as_integer,
 )
 from .scenarios import (
     apply_tax,
@@ -56,6 +55,21 @@ from .stable import alpha_from_shares
 
 DEFAULT_REPORT_BRACKETS = ((0.0, 0.01), (0.01, 0.1), (0.1, 0.5), (0.5, 1.0),
                            (1.0, 10.0), (10.0, 100.0))
+
+_CONFIG_KEYS = {"n", "sigma_variant", "breakpoints", "grouped_shares",
+                "volatility", "scenario", "tax", "reporting_brackets",
+                "out_dir", "simulation"}
+#: The simulation block holds SimConfig fields; these are their defaults.
+_SIMULATION_DEFAULTS = {"dt": 0.1, "horizon": 100.0, "record_every": 1.0,
+                        "drift_clip": None}
+
+
+def _check_keys(block, allowed, where: str) -> None:
+    if not isinstance(block, dict):
+        raise RankModelError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise RankModelError(f"unknown key(s) in {where}: {unknown}")
 
 
 @dataclass
@@ -85,17 +99,16 @@ def _load_config(args) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise RankModelError(f"config {path} is not valid JSON: {exc}"
                                  ) from exc
+        _check_keys(raw, _CONFIG_KEYS, f"config {path}")
+        _check_keys(raw.get("simulation", {}), {"seed", *_SIMULATION_DEFAULTS},
+                    f"config {path} simulation block")
     base = Path(args.config).parent if args.config else Path.cwd()
 
     def resolve(name):
         value = raw.get(name)
         return None if value is None else (base / value)
 
-    n = raw.get("n", 1_000_000)
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise RankModelError(f"n must be an integer of at least 2, got {n!r}")
+    n = as_integer(raw.get("n", 1_000_000), "n", 2)
     sigma_variant = args.sigma or raw.get("sigma_variant", "low")
     if sigma_variant not in ("low", "high"):
         raise RankModelError(f"sigma variant must be low or high, got "
@@ -104,9 +117,8 @@ def _load_config(args) -> RunConfig:
     if len(breakpoints) != 2:
         raise RankModelError("breakpoints must be two interior percents")
 
-    shares_path = resolve("grouped_shares")
     target = fileio.read_grouped_shares(
-        shares_path if shares_path else fileio.DATA_DIR / "wealth2012.csv")
+        resolve("grouped_shares") or fileio.DATA_DIR / "wealth2012.csv")
     vol_path = resolve("volatility")
     volatility = (fileio.read_volatility_table(vol_path) if vol_path
                   else default_volatility_table())
@@ -144,7 +156,6 @@ def _calibrated(cfg: RunConfig):
 def cmd_calibrate(cfg: RunConfig) -> int:
     shares, fit, params = _calibrated(cfg)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     fileio.write_alpha_csv(out / "alpha.csv", params.alpha)
     fileio.write_fit_csv(out / "fit.csv", shares.shares)
     fileio.write_fit_report(out / "fit_report.json", fit)
@@ -156,7 +167,6 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def _project_outputs(cfg: RunConfig, params: RankParameters) -> int:
     outcome = project(params, cfg.report_brackets)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     fileio.write_grouped_csv(out / "projection.csv", outcome.grouped)
     fileio.write_loglog_csv(out / "loglog.csv", outcome.shares)
     if outcome.kind == "divergent":
@@ -183,21 +193,12 @@ def cmd_tax(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     if "seed" not in cfg.sim:
         raise RankModelError("simulate requires --seed (or a config seed)")
-    sim_config = SimConfig(
-        n=cfg.n,
-        dt=float(cfg.sim.get("dt", 0.1)),
-        horizon=float(cfg.sim.get("horizon", 100.0)),
-        seed=int(cfg.sim["seed"]),
-        record_every=float(cfg.sim.get("record_every", 1.0)),
-        report_brackets=cfg.report_brackets,
-        drift_clip=(float(cfg.sim["drift_clip"])
-                    if cfg.sim.get("drift_clip") is not None else None),
-    )
+    sim_config = SimConfig(n=cfg.n, report_brackets=cfg.report_brackets,
+                           **{**_SIMULATION_DEFAULTS, **cfg.sim})
     shares, _fit, params = _calibrated(cfg)
     adjusted = apply_trend(params, cfg.trend)
     path = simulate_ranked(adjusted, sim_config, shares)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     fileio.write_path_csv(out / "path.csv", path.times, path.group_shares,
                           cfg.report_brackets)
     print(f"simulated {sim_config.horizon:g} years at dt={sim_config.dt:g} "
@@ -232,12 +233,8 @@ def cmd_report(cfg: RunConfig) -> int:
         suffix = (f"  [divergent, m={outcome.report.m}]"
                   if outcome.kind == "divergent" else "")
         lines.append(f"{title}: {row}{suffix}")
-    text = "\n".join(lines)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.txt").write_text(text + "\n", encoding="utf-8",
-                                     newline="\n")
-    print(text)
+    fileio.write_lines(cfg.out_dir / "summary.txt", lines)
+    print("\n".join(lines))
     return 0
 
 

@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -49,6 +51,8 @@ __all__ = [
     "make_ranked_shares",
     "make_rank_parameters",
     "check_zero_sum",
+    "as_integer",
+    "as_finite",
     "bracket_to_ranks",
     "per_rank_values",
     "validate_brackets",
@@ -183,9 +187,37 @@ def check_zero_sum(alpha: np.ndarray) -> None:
         raise BadAlphaSumError(f"alpha sums to {alpha.sum():.3e}, expected 0")
 
 
+def as_integer(value, name: str, lo: int, hi: Optional[int] = None) -> int:
+    """An int in [lo, hi) from an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value >= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise RankModelError(f"{name} must be an integer {bound}, got "
+                             f"{value!r}")
+    return int(value)
+
+
+def as_finite(value, name: str) -> float:
+    """``value`` as a finite float; a bool or a string does not pass."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise RankModelError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+def _freeze(obj, **fields) -> None:
+    """Set validated fields on a frozen dataclass; arrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
 
 @dataclass(frozen=True)
 class RankedShares:
@@ -198,8 +230,7 @@ class RankedShares:
         shares = _as_float_vector(self.shares, "shares")
         if self.n != shares.size:
             raise RankModelError("n does not match length of shares")
-        shares.setflags(write=False)
-        object.__setattr__(self, "shares", shares)
+        _freeze(self, shares=shares)
 
 
 @dataclass(frozen=True)
@@ -226,10 +257,7 @@ class RankParameters:
             raise RankModelError("sigma must have length n - 1")
         if np.any(sigma <= 0):
             raise NonPositiveSigmaError("all sigma values must be positive")
-        alpha.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "sigma", sigma)
+        _freeze(self, alpha=alpha, sigma=sigma)
 
     @property
     def kappa(self) -> np.ndarray:
@@ -256,9 +284,7 @@ class GroupedShares:
         if abs(shares.sum() - 1.0) > 1e-6:
             raise BadSumError(f"grouped shares sum to {shares.sum():.8f}, "
                               f"expected 1 within 1e-6")
-        shares.setflags(write=False)
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "shares", shares)
+        _freeze(self, brackets=brackets, shares=shares)
 
 
 @dataclass(frozen=True)
@@ -278,11 +304,7 @@ class VolatilityTable:
         validate_brackets(brackets, require_partition=True)
         if np.any(low <= 0) or np.any(high <= 0):
             raise NonPositiveSigmaError("volatilities must be positive")
-        low.setflags(write=False)
-        high.setflags(write=False)
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "sigma_low", low)
-        object.__setattr__(self, "sigma_high", high)
+        _freeze(self, brackets=brackets, sigma_low=low, sigma_high=high)
 
     def variant(self, which: str) -> np.ndarray:
         if which == "low":
@@ -303,9 +325,7 @@ def _freeze_bracket_values(spec, name: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise RankModelError(f"{name} contains non-finite values")
     validate_brackets(brackets, require_partition=False)
-    values.setflags(write=False)
-    object.__setattr__(spec, "brackets", brackets)
-    object.__setattr__(spec, name, values)
+    _freeze(spec, brackets=brackets, **{name: values})
     return values
 
 
@@ -398,16 +418,13 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
     lo_pct, hi_pct = float(bracket[0]), float(bracket[1])
     if not (0.0 <= lo_pct < hi_pct <= 100.0):
         raise RankModelError(f"invalid bracket ({lo_pct}, {hi_pct})")
-    ranks = []
-    for pct in (lo_pct, hi_pct):
-        exact = pct * n / 100.0
-        nearest = round(exact)
-        if abs(exact - nearest) > 1e-6 * max(1.0, exact):
+    ranks = [pct * n / 100.0 for pct in (lo_pct, hi_pct)]
+    for pct, exact in zip((lo_pct, hi_pct), ranks):
+        if abs(exact - round(exact)) > 1e-6 * max(1.0, exact):
             raise NonIntegerBoundaryError(
                 f"bracket boundary {pct}% maps to non-integer rank {exact} "
                 f"at n={n}")
-        ranks.append(int(nearest))
-    return ranks[0] + 1, ranks[1]
+    return round(ranks[0]) + 1, round(ranks[1])
 
 
 def per_rank_values(brackets: Sequence[Bracket], values,

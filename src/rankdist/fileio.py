@@ -8,6 +8,7 @@ emitted CSV round-trips through its own reader bit-exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 from typing import Sequence, Tuple
@@ -35,20 +36,18 @@ __all__ = [
     "write_loglog_csv",
     "write_divergence_json",
     "write_path_csv",
+    "write_lines",
     "DATA_DIR",
 ]
 
 DATA_DIR = Path(__file__).parent / "data"
 
-_FMT = "%.17g"
 
-
-def _fmt(value: float) -> str:
-    return _FMT % float(value)
-
-
-def _read_rows(path, expected_header: Sequence[str]):
+def _read_table(path, *values: str):
+    """Brackets and value columns of a numeric CSV headed
+    ``lo_pct,hi_pct,<values>``; each column is a tuple of floats."""
     path = Path(path)
+    header = ("lo_pct", "hi_pct") + values
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -56,105 +55,90 @@ def _read_rows(path, expected_header: Sequence[str]):
     rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise ParseError(path, 1, "empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if header != list(expected_header):
-        raise ParseError(path, 1, f"expected header "
-                                  f"{','.join(expected_header)!r}, got "
-                                  f"{','.join(header)!r}")
+    found = [cell.strip() for cell in rows[0]]
+    if found != list(header):
+        raise ParseError(path, 1, f"expected header {','.join(header)!r}, "
+                                  f"got {','.join(found)!r}")
     out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(expected_header):
+        if len(row) != len(header):
             raise ParseError(path, lineno,
-                             f"expected {len(expected_header)} fields, got "
-                             f"{len(row)}")
+                             f"expected {len(header)} fields, got {len(row)}")
         try:
             out.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ParseError(path, lineno, f"bad number: {exc}") from exc
     if not out:
         raise ParseError(path, 2, "no data rows")
-    return out
-
-
-def _split(rows, value_cols: int):
-    brackets = tuple((row[0], row[1]) for row in rows)
-    columns = [np.array([row[2 + i] for row in rows])
-               for i in range(value_cols)]
-    return brackets, columns
+    lo, hi, *columns = zip(*out)
+    return (tuple(zip(lo, hi)), *columns)
 
 
 def read_grouped_shares(path) -> GroupedShares:
     """Read bracket shares from a CSV with header lo_pct,hi_pct,share."""
-    rows = _read_rows(path, ("lo_pct", "hi_pct", "share"))
-    brackets, (shares,) = _split(rows, 1)
-    return GroupedShares(brackets=brackets, shares=shares)
+    return GroupedShares(*_read_table(path, "share"))
 
 
 def read_volatility_table(path) -> VolatilityTable:
     """Read a CSV with header lo_pct,hi_pct,sigma_low,sigma_high."""
-    rows = _read_rows(path, ("lo_pct", "hi_pct", "sigma_low", "sigma_high"))
-    brackets, (low, high) = _split(rows, 2)
-    return VolatilityTable(brackets=brackets, sigma_low=low, sigma_high=high)
+    return VolatilityTable(*_read_table(path, "sigma_low", "sigma_high"))
 
 
 def read_trend(path) -> TrendSpec:
     """Read a CSV with header lo_pct,hi_pct,growth_per_year."""
-    rows = _read_rows(path, ("lo_pct", "hi_pct", "growth_per_year"))
-    brackets, (growth,) = _split(rows, 1)
-    return TrendSpec(brackets=brackets, growth=growth)
+    return TrendSpec(*_read_table(path, "growth_per_year"))
 
 
 def read_tax(path) -> TaxSchedule:
     """Read a CSV with header lo_pct,hi_pct,tax_rate_per_year."""
-    rows = _read_rows(path, ("lo_pct", "hi_pct", "tax_rate_per_year"))
-    brackets, (rate,) = _split(rows, 1)
-    return TaxSchedule(brackets=brackets, rate=rate)
+    return TaxSchedule(*_read_table(path, "tax_rate_per_year"))
 
 
-def _write_lines(path, lines: Sequence[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                          newline="\n")
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write lines as UTF-8 with LF endings, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_table(path, header: Sequence[str], *columns) -> None:
+    """Write equal-length columns under a header, every cell as %.17g."""
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)]
+    # The column lists die with the generator, before the text is joined.
+    lines.extend(row % cells for cells in
+                 zip(*(np.asarray(column).tolist() for column in columns)))
+    write_lines(path, lines)
 
 
 def write_grouped_csv(path, grouped: GroupedShares) -> None:
-    lines = ["lo_pct,hi_pct,share"]
-    for (lo, hi), share in zip(grouped.brackets, grouped.shares):
-        lines.append(f"{_fmt(lo)},{_fmt(hi)},{_fmt(share)}")
-    _write_lines(path, lines)
+    lo, hi = zip(*grouped.brackets)
+    _write_table(path, ("lo_pct", "hi_pct", "share"), lo, hi, grouped.shares)
 
 
 def write_alpha_csv(path, alpha: np.ndarray) -> None:
-    lines = ["rank,alpha"]
-    lines.extend(f"{k + 1},{_fmt(a)}" for k, a in enumerate(alpha))
-    _write_lines(path, lines)
+    _write_table(path, ("rank", "alpha"), np.arange(1, alpha.size + 1), alpha)
 
 
 def write_fit_csv(path, shares: np.ndarray) -> None:
-    lines = ["rank,share"]
-    lines.extend(f"{k + 1},{_fmt(s)}" for k, s in enumerate(shares))
-    _write_lines(path, lines)
+    _write_table(path, ("rank", "share"), np.arange(1, shares.size + 1),
+                 shares)
 
 
 def write_fit_report(path, fit: PiecewiseLogLogFit) -> None:
-    report = {
-        "breakpoints": list(fit.breakpoints),
-        "slopes": list(fit.slopes),
-        "intercept": fit.intercept,
-        "fit_error": fit.fit_error,
-    }
-    _write_lines(path, [json.dumps(report, indent=2)])
+    write_lines(path, [json.dumps(dataclasses.asdict(fit), indent=2)])
 
 
 def write_loglog_csv(path, shares: np.ndarray) -> None:
     """Log-log plot data; ranks with exactly zero limit share are omitted."""
-    lines = ["log10_rank,log10_share"]
-    ranks = np.arange(1, shares.size + 1)
+    # log10 of contiguous copies: on a strided view numpy's vector log10
+    # can differ from the scalar one in the last bit.
     positive = shares > 0
-    for k, s in zip(ranks[positive], shares[positive]):
-        lines.append(f"{_fmt(np.log10(k))},{_fmt(np.log10(s))}")
-    _write_lines(path, lines)
+    _write_table(path, ("log10_rank", "log10_share"),
+                 np.log10(np.flatnonzero(positive) + 1),
+                 np.log10(shares[positive]))
 
 
 def write_divergence_json(path, report) -> None:
@@ -164,13 +148,10 @@ def write_divergence_json(path, report) -> None:
         "first_violation": report.first_violation,
         "unique_max": bool(report.unique_max),
     }
-    _write_lines(path, [json.dumps(payload, indent=2)])
+    write_lines(path, [json.dumps(payload, indent=2)])
 
 
 def write_path_csv(path, times: np.ndarray, group_shares: np.ndarray,
                    brackets: Sequence[Tuple[float, float]]) -> None:
     header = ["year"] + [f"top_{lo:g}_{hi:g}" for lo, hi in brackets]
-    lines = [",".join(header)]
-    for t, row in zip(times, group_shares):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    _write_lines(path, lines)
+    _write_table(path, header, times, *np.asarray(group_shares).T)

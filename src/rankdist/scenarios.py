@@ -136,7 +136,7 @@ def project(params: RankParameters,
     from the running-average criterion ends up holding all wealth, with its
     internal stable distribution on ranks 1..m and exact zeros below.
     """
-    report = check_stability(params.alpha, require_zero_sum=False)
+    report = check_stability(params.alpha)
     if report.stable:
         sums = prefix_sum(params.alpha)[:-1]
         shares = shares_from_gaps(

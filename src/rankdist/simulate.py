@@ -19,6 +19,7 @@ scheduled across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -29,6 +30,8 @@ from .core import (
     RankedShares,
     RankModelError,
     RankParameters,
+    as_finite,
+    as_integer,
     bracket_to_ranks,
     prefix_sum,
 )
@@ -48,6 +51,8 @@ class SimConfig:
     """Settings for the ranked-particle simulator.
 
     ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word.
+    Construction converts each number and raises :class:`RankModelError` on
+    a wrong type, a non-finite value or one out of range.
 
     ``drift_clip`` caps |alpha| (per year) before stepping.  Calibrated
     bottom-boundary growth rates reach thousands per year — they proxy for
@@ -65,20 +70,20 @@ class SimConfig:
     drift_clip: Optional[float] = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise RankModelError("simulation needs at least 2 particles")
+        set_field = functools.partial(object.__setattr__, self)
+        set_field("n", as_integer(self.n, "n", 2))
+        set_field("seed", as_integer(self.seed, "seed", 0, 2 ** 64))
+        for name in ("dt", "horizon", "record_every", "drift_clip"):
+            if getattr(self, name) is not None:
+                set_field(name, as_finite(getattr(self, name), name))
         if not (self.dt > 0):
             raise RankModelError("dt must be positive")
         if not (self.horizon >= self.record_every > 0):
             raise RankModelError("need horizon >= record_every > 0")
-        if not (0 <= self.seed < 2 ** 64):
-            raise RankModelError(f"seed must be in [0, 2**64), got "
-                                 f"{self.seed}")
         if self.drift_clip is not None and self.drift_clip <= 0:
             raise RankModelError("drift_clip must be positive")
-        object.__setattr__(self, "report_brackets",
-                           tuple((float(lo), float(hi))
-                                 for lo, hi in self.report_brackets))
+        set_field("report_brackets", tuple((float(lo), float(hi))
+                                           for lo, hi in self.report_brackets))
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,13 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     reflected value is X_t = Y_t - min(0, running within-step minimum of Y),
     where the within-step minimum is drawn exactly from the Brownian-bridge
     law given the step endpoints.  Returns the mean of X after ``burn_in``
-    years; the continuous-time limit is sigma**2 / (2 kappa).
+    years; the continuous-time limit is sigma**2 / (2 kappa).  Non-finite
+    arguments and a seed outside [0, 2**64) raise :class:`RankModelError`.
     """
+    for name, value in dict(kappa=kappa, sigma=sigma, dt=dt, horizon=horizon,
+                            burn_in=burn_in).items():
+        as_finite(value, name)
+    seed = as_integer(seed, "seed", 0, 2 ** 64)
     if kappa <= 0:
         raise NonPositiveKappaError("kappa must be positive")
     if sigma < 0:
@@ -180,9 +190,7 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
         alpha = np.clip(alpha, -config.drift_clip, config.drift_clip)
     # Per-particle shock scale delta_k = sigma_k / sqrt(2), consistent with
     # sigma_k**2 = delta_k**2 + delta_{k+1}**2 for locally constant delta.
-    delta = np.empty(n)
-    delta[:n - 1] = params.sigma / np.sqrt(2.0)
-    delta[n - 1] = params.sigma[n - 2] / np.sqrt(2.0)
+    delta = np.append(params.sigma, params.sigma[-1]) / np.sqrt(2.0)
 
     steps = int(round(config.horizon / config.dt))
     record_stride = max(int(round(config.record_every / config.dt)), 1)
@@ -194,12 +202,13 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     recorded = []
     gap_sums = np.zeros(n - 1)
 
-    def record(sorted_lw: np.ndarray, time: float) -> None:
+    def record(sorted_lw: np.ndarray, time: float) -> np.ndarray:
         weights = np.exp(sorted_lw - sorted_lw[0])
         shares = weights / weights.sum()
         cums = np.concatenate([[0.0], prefix_sum(shares)])
         recorded.append([cums[hi] - cums[lo - 1] for lo, hi in rank_bounds])
         times.append(time)
+        return shares
 
     # One sort per step: ranks are read off, the pre-update state is
     # recorded/accumulated, then the update is applied in rank order.
@@ -213,10 +222,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
         log_wealth[order] = sorted_lw + alpha * config.dt \
             + delta * sqrt_dt * shocks[order]
 
-    sorted_lw = np.sort(log_wealth)[::-1]
-    record(sorted_lw, steps * config.dt)
-    weights = np.exp(sorted_lw - sorted_lw[0])
-    final = RankedShares(n=n, shares=weights / weights.sum())
+    final = RankedShares(n=n, shares=record(np.sort(log_wealth)[::-1],
+                                            steps * config.dt))
     return SimulationPath(times=np.asarray(times),
                           group_shares=np.asarray(recorded),
                           final_shares=final,

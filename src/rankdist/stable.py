@@ -128,8 +128,7 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     return RankParameters(n=n, alpha=alpha, sigma=sigma)
 
 
-def check_stability(alpha, *,
-                    require_zero_sum: bool = True) -> StabilityReport:
+def check_stability(alpha) -> StabilityReport:
     """Prefix-sum stability test with divergent-subset analysis.
 
     Stable iff every proper prefix sum of alpha is strictly negative.  When
@@ -138,13 +137,11 @@ def check_stability(alpha, *,
     taken on exact ties (``unique_max`` is false in that case so callers can
     warn).
 
-    ``require_zero_sum=False`` admits trend/tax-adjusted growth rates, whose
-    aggregate drift is intentionally nonzero; the argmax comparison is
-    invariant to a common shift of all alpha.
+    Alpha need not sum to zero: trend- and tax-adjusted growth rates carry
+    a nonzero aggregate drift, and the argmax comparison is invariant to a
+    common shift of all alpha.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if require_zero_sum:
-        check_zero_sum(alpha)
     sums = prefix_sum(alpha)
     bad = sums[:-1] >= 0
     if not np.any(bad):
@@ -166,15 +163,16 @@ def top_group_stable(params: RankParameters, m: int) -> RankedShares:
     group (the subtracted mean is exactly A_m when m maximizes the running
     averages).  Volatilities sigma_1..sigma_{m-1} are unchanged.  The full
     economy's limit has these shares on ranks 1..m and zero below.
+    Raises :class:`NotDivergentError` if every proper prefix sum of alpha
+    through rank m is negative (for check_stability's m: stable input).
     """
     if not (1 <= m <= params.n):
         raise RankModelError(f"m={m} outside 1..{params.n}")
-    sums = prefix_sum(params.alpha)[:-1]
-    if params.n > 1 and not np.any(sums >= 0):
+    through = min(m, params.n - 1)
+    if not np.any(prefix_sum(params.alpha[:through]) >= 0):
         raise NotDivergentError(
-            "configuration is stable; no divergent top group exists")
-    if m == 1:
-        return RankedShares(n=1, shares=np.array([1.0]))
+            f"no divergent top group of size {m}: every prefix sum of alpha "
+            f"through rank {through} is negative")
     group = params.alpha[:m] - params.alpha[:m].mean()
     group_sums = prefix_sum(group)[:-1]
     if np.any(group_sums >= 0):

@@ -198,20 +198,45 @@ class TestCommands:
                                    "grouped_shares": "bad.csv"}))
         assert main(["project", "--config", str(cfg)]) == 1
 
-    @pytest.mark.parametrize("overrides, argv", [
-        ({"n": "abc"}, ["project"]),
-        ({"n": 0}, ["project"]),
-        ({}, ["simulate", "--seed", "-1"]),
-    ], ids=["n_not_a_number", "n_zero", "negative_seed"])
+    @pytest.mark.parametrize("overrides, argv, message", [
+        ({"n": "abc"}, ["project"], "n must be an integer >= 2"),
+        ({"n": 0}, ["project"], "n must be an integer >= 2"),
+        ({}, ["simulate", "--seed", "-1"], "seed must be an integer in"),
+        ({"simulation": {"dt": "abc"}}, ["simulate", "--seed", "1"],
+         "dt must be a finite number"),
+        ({"simulation": {"record_every": True}}, ["simulate", "--seed", "1"],
+         "record_every must be a finite number"),
+        ({"simulation": {"horizon": float("inf")}},
+         ["simulate", "--seed", "1"], "horizon must be a finite number"),
+        ({"simulation": {"drift_clip": float("nan")}},
+         ["simulate", "--seed", "1"], "drift_clip must be a finite number"),
+        ({"simulation": {"seed": 1.7}}, ["simulate"],
+         "seed must be an integer"),
+        ({"sigma_varient": "high"}, ["project"], "'sigma_varient'"),
+        ({"simulation": {"steps": 10}}, ["simulate", "--seed", "1"],
+         "'steps'"),
+        ({"simulation": [1]}, ["simulate", "--seed", "1"],
+         "simulation block must be a JSON object"),
+    ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
+            "record_every_bool", "horizon_inf", "drift_clip_nan",
+            "seed_not_integral", "unknown_key", "unknown_simulation_key",
+            "simulation_not_object"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
-                                          argv):
+                                          argv, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10000, **overrides}))
         assert main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert message in err
         assert "Traceback" not in err
+
+    def test_config_must_be_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        assert main(["project", "--config", str(cfg)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert main(["project", "--config", "/nonexistent/cfg.json"]) == 1

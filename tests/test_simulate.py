@@ -22,6 +22,20 @@ class TestGapOracle:
             rd.simulate_gap_oracle(kappa=0.0, sigma=0.2, dt=1e-3,
                                    horizon=10.0, burn_in=1.0, seed=1)
 
+    @pytest.mark.parametrize("override", [
+        {"kappa": float("nan")}, {"kappa": float("inf")},
+        {"sigma": float("nan")}, {"dt": float("inf")},
+        {"horizon": float("nan")}, {"burn_in": -float("inf")},
+        {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5},
+    ], ids=["kappa_nan", "kappa_inf", "sigma_nan", "dt_inf", "horizon_nan",
+            "burn_in_neg_inf", "seed_negative", "seed_2_64",
+            "seed_not_integral"])
+    def test_bad_argument_rejected(self, override):
+        kwargs = {**dict(kappa=0.5, sigma=0.2, dt=1e-3, horizon=10.0,
+                         burn_in=1.0, seed=1), **override}
+        with pytest.raises(rd.RankModelError):
+            rd.simulate_gap_oracle(**kwargs)
+
     def test_deterministic_across_chunking(self):
         kwargs = dict(kappa=0.2, sigma=0.3, dt=1e-3, horizon=200.0,
                       burn_in=20.0, seed=42)

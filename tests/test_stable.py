@@ -131,7 +131,7 @@ class TestCheckStability:
         np.testing.assert_allclose(report.A, [0.01, 0.01, 0.0])
 
     def test_relaxed_sum_for_adjusted_rates(self):
-        report = rd.check_stability([0.05, -0.01], require_zero_sum=False)
+        report = rd.check_stability([0.05, -0.01])
         assert not report.stable
 
 
@@ -156,6 +156,14 @@ class TestTopGroupStable:
         p = rd.make_rank_parameters([-0.01, -0.01, 0.02], [0.3, 0.3])
         with pytest.raises(rd.NotDivergentError):
             rd.top_group_stable(p, 2)
+
+    def test_group_below_first_violation_rejected(self):
+        # Unstable at rank 2, but the top one household alone is not a
+        # divergent group: its prefix sum is negative.
+        p = rd.RankParameters(n=3, alpha=np.array([-0.01, 0.03, -0.02]),
+                              sigma=np.array([0.3, 0.3]))
+        with pytest.raises(rd.NotDivergentError):
+            rd.top_group_stable(p, 1)
 
     def test_group_unstable(self):
         # Unstable overall, but the group's internal rates (alpha - mean)
