@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rankdist as rd
+from rankdist import calibration
 from rankdist.core import GroupedShares
 
 
@@ -107,6 +108,30 @@ class TestFitPiecewisePareto:
         grouped = rd.group_shares(shares, TARGET_2012.brackets)
         assert np.abs(grouped.shares - TARGET_2012.shares).sum() == \
             pytest.approx(fit.fit_error, rel=1e-9)
+
+    @pytest.mark.parametrize("n, slopes, fit_error, nfev, restarts", [
+        (10**6, (-0.8003283180980056, -0.7401718151535341,
+                 -1.7386817812035487), 0.0008012179281869508, 301, 1),
+        (10**5, (-1.0455787637379705, -0.7416938549309425,
+                 -1.7370004215795634), 0.0014656670413771694, 4087, 8),
+    ], ids=["n1e6", "n1e5"])
+    def test_2012_target_large_n_pinned(self, monkeypatch, n, slopes,
+                                        fit_error, nfev, restarts):
+        # The headline fits, bit for bit: the Nelder-Mead path (every
+        # restart, every evaluation) and the reported error must not move.
+        results = []
+        minimize = calibration.minimize
+
+        def counting(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(calibration, "minimize", counting)
+        _shares, fit = rd.fit_piecewise_pareto(TARGET_2012, n)
+        assert fit.slopes == slopes
+        assert fit.fit_error == fit_error
+        assert len(results) == restarts
+        assert sum(r.nfev for r in results) == nfev
 
 
 class TestCalibrate:
