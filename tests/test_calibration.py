@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rankdist as rd
 from rankdist import calibration
-from rankdist.core import GroupedShares
+from rankdist.core import GroupedShares, bracket_to_ranks, prefix_sum
 
 
 TARGET_2012 = GroupedShares(
@@ -132,6 +133,45 @@ class TestFitPiecewisePareto:
         assert fit.fit_error == fit_error
         assert len(results) == restarts
         assert sum(r.nfev for r in results) == nfev
+
+
+class TestClosedFormBracketSums:
+    """The fit's objective sums each bracket in closed form; it must agree
+    with the bracket sums of the dense fill-in it stands for."""
+
+    SLOPE = st.one_of(st.just(-1.0), st.floats(-4.0, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([10**4, 10**5, 10**6]),
+           breakpoints=st.sampled_from([(0.01, 10.0), (0.1, 1.0),
+                                        (0.5, 40.0)]),
+           slopes=st.tuples(SLOPE, SLOPE, SLOPE))
+    @example(n=10**6, breakpoints=(0.01, 10.0), slopes=(-1.0, -1.0, -1.0))
+    @example(n=10**4, breakpoints=(0.5, 40.0), slopes=(1.0, 0.5, -1.0))
+    @example(n=10**5, breakpoints=(0.1, 1.0), slopes=(-4.0, 1.0, -4.0))
+    def test_matches_dense_fill_in(self, n, breakpoints, slopes):
+        slopes = np.array(slopes)
+        bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                                 for b in TARGET_2012.brackets])
+        seg, b1, b2 = calibration._segment_index(n, breakpoints)
+        dlog = np.diff(np.log(np.arange(1, n + 1, dtype=np.float64)))
+        shares = calibration._shares_from_slopes(slopes, seg, dlog)
+        cums = np.concatenate([[0.0], prefix_sum(shares)])
+        sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
+        np.testing.assert_allclose(sums(slopes), np.diff(cums[bounds]),
+                                   rtol=0, atol=1e-13)
+
+    def test_extreme_slopes_stay_finite(self):
+        n = 10**6
+        bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                                 for b in TARGET_2012.brackets])
+        _seg, b1, b2 = calibration._segment_index(n, (0.01, 10.0))
+        sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
+        for slopes in [(-300.0, 0.0, 0.0), (0.0, 0.0, 300.0),
+                       (50.0, -80.0, 40.0)]:
+            out = sums(np.array(slopes))
+            assert np.all(np.isfinite(out))
+            assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCalibrate:
