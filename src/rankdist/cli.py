@@ -41,6 +41,7 @@ from .core import (
     TrendSpec,
     UnstableError,
     VolatilityTable,
+    as_finite,
     as_integer,
 )
 from .scenarios import (
@@ -70,6 +71,14 @@ def _check_keys(block, allowed, where: str) -> None:
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise RankModelError(f"unknown key(s) in {where}: {unknown}")
+
+
+def _pair(value, name: str) -> Tuple[float, float]:
+    """``value`` as two finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise RankModelError(f"{name} must be a pair of numbers, got "
+                             f"{value!r}")
+    return tuple(as_finite(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 @dataclass
@@ -113,9 +122,8 @@ def _load_config(args) -> RunConfig:
     if sigma_variant not in ("low", "high"):
         raise RankModelError(f"sigma variant must be low or high, got "
                              f"{sigma_variant!r}")
-    breakpoints = tuple(raw.get("breakpoints", DEFAULT_BREAKPOINTS))
-    if len(breakpoints) != 2:
-        raise RankModelError("breakpoints must be two interior percents")
+    breakpoints = _pair(raw.get("breakpoints", DEFAULT_BREAKPOINTS),
+                        "breakpoints")
 
     target = fileio.read_grouped_shares(
         resolve("grouped_shares") or fileio.DATA_DIR / "wealth2012.csv")
@@ -128,13 +136,18 @@ def _load_config(args) -> RunConfig:
     if isinstance(scenario, str) and not scenario.isdigit():
         trend = fileio.read_trend(base / scenario)
     else:
-        trend = preset_scenario(int(scenario))
+        if isinstance(scenario, str):
+            scenario = int(scenario)
+        trend = preset_scenario(as_integer(scenario, "scenario", 1))
     tax_path = resolve("tax")
     tax = fileio.read_tax(tax_path) if tax_path else default_capital_tax()
 
-    report_brackets = tuple(
-        tuple(b) for b in raw.get("reporting_brackets",
-                                  DEFAULT_REPORT_BRACKETS))
+    brackets = raw.get("reporting_brackets", DEFAULT_REPORT_BRACKETS)
+    if not isinstance(brackets, (list, tuple)):
+        raise RankModelError(f"reporting_brackets must be a list of "
+                             f"[lo, hi] pairs, got {brackets!r}")
+    report_brackets = tuple(_pair(b, f"reporting_brackets[{i}]")
+                            for i, b in enumerate(brackets))
     out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "."))
     sim = dict(raw.get("simulation", {}))
     if getattr(args, "seed", None) is not None:

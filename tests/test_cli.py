@@ -217,10 +217,18 @@ class TestCommands:
          "'steps'"),
         ({"simulation": [1]}, ["simulate", "--seed", "1"],
          "simulation block must be a JSON object"),
+        ({"breakpoints": 5}, ["project"], "breakpoints must be a pair"),
+        ({"breakpoints": ["a", "b"]}, ["project"],
+         "breakpoints[0] must be a finite number"),
+        ({"reporting_brackets": [[0, "x"]]}, ["project"],
+         "reporting_brackets[0][1] must be a finite number"),
+        ({"scenario": 2.5}, ["project"], "scenario must be an integer"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
             "record_every_bool", "horizon_inf", "drift_clip_nan",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
-            "simulation_not_object"])
+            "simulation_not_object", "breakpoints_not_a_pair",
+            "breakpoints_not_numbers", "reporting_bracket_not_a_number",
+            "scenario_not_integral"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
                                           argv, message):
         cfg = tmp_path / "cfg.json"
