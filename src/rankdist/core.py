@@ -53,9 +53,10 @@ __all__ = [
     "check_zero_sum",
     "as_integer",
     "as_finite",
+    "as_pair",
+    "as_brackets",
     "bracket_to_ranks",
     "per_rank_values",
-    "validate_brackets",
     "group_shares",
     "prefix_sum",
 ]
@@ -160,6 +161,9 @@ class ParseError(RankModelError):
 # Numeric helpers
 # ---------------------------------------------------------------------------
 
+Bracket = Tuple[float, float]
+
+
 def prefix_sum(values: np.ndarray) -> np.ndarray:
     """Running sums computed in extended precision.
 
@@ -205,6 +209,37 @@ def as_finite(value, name: str) -> float:
             or not math.isfinite(value)):
         raise RankModelError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def as_pair(value, name: str) -> Tuple[float, float]:
+    """``value``, a list or tuple of two numbers, as two finite floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise RankModelError(f"{name} must be a pair of numbers, got "
+                             f"{value!r}")
+    return tuple(as_finite(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def as_brackets(value, name: str, *, partition: bool) -> Tuple[Bracket, ...]:
+    """``value``, a list of ``[lo, hi]`` pairs, as ordered percent brackets
+    with 0 <= lo < hi <= 100 that do not overlap; with ``partition`` they
+    must also cover [0, 100) without gaps."""
+    if not isinstance(value, (list, tuple)):
+        raise RankModelError(f"{name} must be a list of [lo, hi] pairs, got "
+                             f"{value!r}")
+    brackets = tuple(as_pair(b, f"{name}[{i}]") for i, b in enumerate(value))
+    prev_hi = 0.0
+    for lo, hi in brackets:
+        if not (0.0 <= lo < hi <= 100.0):
+            raise BracketGapError(f"invalid bracket ({lo}, {hi}) in {name}")
+        if lo < prev_hi - 1e-12:
+            raise BracketGapError(f"{name} overlap near {lo}%")
+        if partition and lo > prev_hi + 1e-12:
+            raise BracketGapError(f"{name} leave a gap between {prev_hi}% "
+                                  f"and {lo}%")
+        prev_hi = hi
+    if partition and (not brackets or abs(prev_hi - 100.0) > 1e-12):
+        raise BracketGapError(f"{name} must cover [0, 100) exactly")
+    return brackets
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +300,6 @@ class RankParameters:
         return -2.0 * prefix_sum(self.alpha)[:-1]
 
 
-Bracket = Tuple[float, float]
-
-
 @dataclass(frozen=True)
 class GroupedShares:
     """Bracket-level wealth shares, brackets in percent rank from the top."""
@@ -276,11 +308,10 @@ class GroupedShares:
     shares: np.ndarray
 
     def __post_init__(self):
-        brackets = tuple((float(lo), float(hi)) for lo, hi in self.brackets)
+        brackets = as_brackets(self.brackets, "brackets", partition=True)
         shares = _as_float_vector(self.shares, "shares")
         if len(brackets) != shares.size:
             raise RankModelError("brackets and shares differ in length")
-        validate_brackets(brackets, require_partition=True)
         if abs(shares.sum() - 1.0) > 1e-6:
             raise BadSumError(f"grouped shares sum to {shares.sum():.8f}, "
                               f"expected 1 within 1e-6")
@@ -296,12 +327,11 @@ class VolatilityTable:
     sigma_high: np.ndarray
 
     def __post_init__(self):
-        brackets = tuple((float(lo), float(hi)) for lo, hi in self.brackets)
+        brackets = as_brackets(self.brackets, "brackets", partition=True)
         low = _as_float_vector(self.sigma_low, "sigma_low")
         high = _as_float_vector(self.sigma_high, "sigma_high")
         if not (len(brackets) == low.size == high.size):
             raise RankModelError("brackets and sigma columns differ in length")
-        validate_brackets(brackets, require_partition=True)
         if np.any(low <= 0) or np.any(high <= 0):
             raise NonPositiveSigmaError("volatilities must be positive")
         _freeze(self, brackets=brackets, sigma_low=low, sigma_high=high)
@@ -318,13 +348,12 @@ class VolatilityTable:
 def _freeze_bracket_values(spec, name: str) -> np.ndarray:
     """Validate and freeze a (possibly partial) bracket list and its
     same-length vector of finite values, stored in attribute ``name``."""
-    brackets = tuple((float(lo), float(hi)) for lo, hi in spec.brackets)
+    brackets = as_brackets(spec.brackets, "brackets", partition=False)
     values = np.asarray(getattr(spec, name), dtype=np.float64)
     if len(brackets) != values.size:
         raise RankModelError(f"brackets and {name} differ in length")
     if not np.all(np.isfinite(values)):
         raise RankModelError(f"{name} contains non-finite values")
-    validate_brackets(brackets, require_partition=False)
     _freeze(spec, brackets=brackets, **{name: values})
     return values
 
@@ -436,27 +465,6 @@ def per_rank_values(brackets: Sequence[Bracket], values,
         lo_rank, hi_rank = bracket_to_ranks(bracket, n)
         out[lo_rank - 1:hi_rank] += value
     return out
-
-
-def validate_brackets(brackets: Sequence[Bracket], *,
-                      require_partition: bool) -> None:
-    """Check bracket ordering; optionally that they partition [0, 100)."""
-    prev_hi = None
-    for lo, hi in brackets:
-        if not (0.0 <= lo < hi <= 100.0):
-            raise BracketGapError(f"invalid bracket ({lo}, {hi})")
-        if prev_hi is not None:
-            if require_partition and abs(lo - prev_hi) > 1e-12:
-                raise BracketGapError(
-                    f"brackets do not partition [0, 100): gap or overlap "
-                    f"between {prev_hi}% and {lo}%")
-            if not require_partition and lo < prev_hi - 1e-12:
-                raise BracketGapError(
-                    f"brackets overlap near {lo}%")
-        prev_hi = hi
-    if require_partition and brackets:
-        if abs(brackets[0][0]) > 1e-12 or abs(brackets[-1][1] - 100.0) > 1e-12:
-            raise BracketGapError("brackets must cover [0, 100) exactly")
 
 
 def group_shares(shares, brackets: Sequence[Bracket]) -> GroupedShares:

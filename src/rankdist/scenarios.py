@@ -9,16 +9,18 @@ all wealth, with its own internal stable distribution.
 Adjusted growth rates are deliberately NOT recentered to sum to zero before
 solving: a bracket whose share grows at g per year has its alpha raised by
 exactly g, and the implied gaps follow from those raw prefix sums.  The
-stability test and the divergent-subset argmax are invariant to a common
-shift, so no recentering is needed there either.  A standalone
-:func:`recenter` helper is provided for callers who want to restore the
-economy-relative convention explicitly.
+stability test reads those raw prefix sums too, so it is not invariant to a
+common shift: alpha = (-1, 1) is stable and (1, 3) is not.  The
+divergent-subset argmax is invariant to a shift that keeps the input
+unstable, since it moves every running average by the same amount.  A
+standalone :func:`recenter` helper is provided for callers who want to
+restore the economy-relative convention explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

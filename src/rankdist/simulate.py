@@ -20,8 +20,8 @@ scheduled across threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     RankedShares,
     RankModelError,
     RankParameters,
+    as_brackets,
     as_finite,
     as_integer,
     bracket_to_ranks,
@@ -46,13 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
-    """Settings for the ranked-particle simulator.
+    """Settings for the ranked-particle simulator, passed by keyword.
 
-    ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word.
-    Construction converts each number and raises :class:`RankModelError` on
-    a wrong type, a non-finite value or one out of range.
+    ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word,
+    and ``report_brackets`` must partition [0, 100).  Construction converts
+    each value and raises :class:`RankModelError` on a wrong type, a
+    non-finite value or one out of range.
 
     ``drift_clip`` caps |alpha| (per year) before stepping.  Calibrated
     bottom-boundary growth rates reach thousands per year — they proxy for
@@ -62,10 +64,10 @@ class SimConfig:
     """
 
     n: int
-    dt: float
-    horizon: float
+    dt: float = 0.1
+    horizon: float = 100.0
     seed: int
-    record_every: float
+    record_every: float = 1.0
     report_brackets: Tuple[Tuple[float, float], ...]
     drift_clip: Optional[float] = None
 
@@ -82,8 +84,8 @@ class SimConfig:
             raise RankModelError("need horizon >= record_every > 0")
         if self.drift_clip is not None and self.drift_clip <= 0:
             raise RankModelError("drift_clip must be positive")
-        set_field("report_brackets", tuple((float(lo), float(hi))
-                                           for lo, hi in self.report_brackets))
+        set_field("report_brackets", as_brackets(
+            self.report_brackets, "report_brackets", partition=True))
 
 
 @dataclass(frozen=True)

@@ -223,12 +223,22 @@ class TestCommands:
         ({"reporting_brackets": [[0, "x"]]}, ["project"],
          "reporting_brackets[0][1] must be a finite number"),
         ({"scenario": 2.5}, ["project"], "scenario must be an integer"),
+        ({"scenario": "\u00b2"}, ["project"], "cannot read file"),
+        ({"sigma_variant": "mid"}, ["calibrate"],
+         "unknown sigma variant 'mid'"),
+        ({"reporting_brackets": [[0, 1], [1, 50]]},
+         ["simulate", "--seed", "1"],
+         "reporting_brackets must cover [0, 100) exactly"),
+        ({"reporting_brackets": []}, ["project"],
+         "reporting_brackets must cover [0, 100) exactly"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
             "record_every_bool", "horizon_inf", "drift_clip_nan",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
             "simulation_not_object", "breakpoints_not_a_pair",
             "breakpoints_not_numbers", "reporting_bracket_not_a_number",
-            "scenario_not_integral"])
+            "scenario_not_integral", "scenario_unicode_digit",
+            "sigma_variant_unknown", "reporting_brackets_not_a_partition",
+            "reporting_brackets_empty"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
                                           argv, message):
         cfg = tmp_path / "cfg.json"
@@ -239,6 +249,23 @@ class TestCommands:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_project_defaults_to_target_brackets(self, tmp_path, capsys):
+        # The 3-bracket target has no 0.01% bracket, which at n = 1000
+        # would not land on an integer rank.
+        (tmp_path / "target.csv").write_text(self.COARSE_CSV)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1000, "breakpoints": [1, 10],
+                                   "grouped_shares": "target.csv"}))
+        assert main(["project", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        labels = [line.split(":")[0].strip()
+                  for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert labels == ["0-1%", "1-10%", "10-100%"]
+        grouped = fileio.read_grouped_shares(tmp_path / "out" /
+                                             "projection.csv")
+        assert grouped.brackets == ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0))
 
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rankdist as rd
+from rankdist.core import as_brackets
 
 
 class TestMakeRankedShares:
@@ -142,3 +143,44 @@ class TestTrendAndTaxTypes:
     def test_empty_defaults(self):
         assert rd.TrendSpec().growth.size == 0
         assert rd.TaxSchedule().rate.size == 0
+
+
+class TestBracketLists:
+    """Every type that holds a bracket list checks it with one rule."""
+
+    MAKERS = {
+        "trend": lambda b: rd.TrendSpec(brackets=b, growth=np.zeros(len(b))),
+        "tax": lambda b: rd.TaxSchedule(brackets=b, rate=np.zeros(len(b))),
+        "grouped": lambda b: rd.GroupedShares(
+            brackets=b, shares=np.full(len(b), 1 / len(b))),
+        "volatility": lambda b: rd.VolatilityTable(
+            brackets=b, sigma_low=np.full(len(b), 0.3),
+            sigma_high=np.full(len(b), 0.4)),
+        "sim_config": lambda b: rd.SimConfig(n=100, seed=1,
+                                             report_brackets=b),
+    }
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_valid_partition_accepted(self, make):
+        make(((0, 10), (10, 100)))
+
+    @pytest.mark.parametrize("end", ["0", True, float("nan")],
+                             ids=["str", "bool", "nan"])
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_bad_end_rejected(self, make, end):
+        with pytest.raises(rd.RankModelError,
+                           match=r"brackets\[0\]\[0\] must be a finite"):
+            make(((end, 10), (10, 100)))
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_bracket_not_a_pair_rejected(self, make):
+        with pytest.raises(rd.RankModelError, match="must be a pair"):
+            make(((0, 10, 20), (20, 100)))
+
+    def test_sim_config_requires_partition(self):
+        with pytest.raises(rd.BracketGapError, match="cover"):
+            rd.SimConfig(n=100, seed=1, report_brackets=((0, 10),))
+
+    def test_not_a_list_rejected(self):
+        with pytest.raises(rd.RankModelError, match="list of"):
+            as_brackets(5, "brackets", partition=False)

@@ -1,0 +1,41 @@
+"""No module of the package imports a name it never uses.
+
+No linter is part of the toolchain, so this small ``ast`` pass stands in
+for the unused-import check.  ``__init__`` is skipped: its imports are the
+package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rankdist
+
+MODULES = sorted(path for path in Path(rankdist.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_finds_an_unused_import():
+    assert unused_imports("import os\nfrom typing import Optional, Tuple\n"
+                          "x: Tuple[int] = os.sep\n") == ["Optional (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

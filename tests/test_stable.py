@@ -1,7 +1,11 @@
 """Unit tests for the closed-form solver, inversion, and stability analysis."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rankdist as rd
 
@@ -172,6 +176,42 @@ class TestTopGroupStable:
                               sigma=np.array([0.3, 0.3]))
         with pytest.raises(rd.GroupUnstableError):
             rd.top_group_stable(p, 2)
+
+
+class TestShiftAndTopGroupProperties:
+    """Properties of the stability test under a common shift of alpha, and
+    of the divergent top group's limit shares."""
+
+    #: Dyadic rates (multiples of 1/8 up to 8): every prefix sum is exact,
+    #: and distinct running averages differ by far more than an ulp.
+    DYADIC = st.integers(-64, 64).map(lambda k: k / 8)
+
+    def test_stability_is_not_shift_invariant(self):
+        assert rd.check_stability([-1.0, 1.0]).stable
+        assert not rd.check_stability([1.0, 3.0]).stable
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.lists(DYADIC, min_size=2, max_size=40), shift=DYADIC)
+    def test_divergent_m_invariant_under_shift(self, alpha, shift):
+        before = rd.check_stability(alpha)
+        after = rd.check_stability(np.array(alpha) + shift)
+        assume(not before.stable and not after.stable)
+        assert after.m == before.m
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 200))
+    def test_top_group_sums_to_exactly_one(self, data, n):
+        alpha = data.draw(arrays(np.float64, n, elements=st.floats(-1, 1)))
+        sigma = data.draw(arrays(np.float64, n - 1,
+                                 elements=st.floats(0.05, 2.0)))
+        report = rd.check_stability(alpha)
+        assume(not report.stable)
+        params = rd.RankParameters(n=n, alpha=alpha, sigma=sigma)
+        try:
+            top = rd.top_group_stable(params, report.m)
+        except rd.GroupUnstableError:
+            reject()  # a rounding tie in A leaves no internal distribution
+        assert math.fsum(top.shares) == 1.0
 
 
 class TestRoundTripProperty:
