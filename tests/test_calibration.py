@@ -48,6 +48,12 @@ class TestVolatilityFromComponents:
         with pytest.raises(rd.NegativeInputError):
             rd.volatility_from_components(-0.1, np.zeros(5))
 
+    @pytest.mark.parametrize("labor", [np.zeros(4), np.zeros(6), 0.0],
+                             ids=["short", "long", "scalar"])
+    def test_one_labor_value_per_bracket(self, labor):
+        with pytest.raises(rd.RankModelError):
+            rd.volatility_from_components(0.2, labor)
+
 
 class TestExpandSigma:
     def test_low_variant_constant(self):

@@ -61,6 +61,19 @@ class TestReaders:
         with pytest.raises(rd.ParseError):
             fileio.read_grouped_shares(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty file"),
+        ("lo_pct,hi_pct,share\n0,100\n", 2, "expected 3 fields, got 2"),
+        ("lo_pct,hi_pct,share\n\n", 2, "no data rows"),
+    ], ids=["empty", "short_row", "no_rows"])
+    def test_malformed_table_reports_line(self, tmp_path, text, line,
+                                          message):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(rd.ParseError, match=message) as info:
+            fileio.read_grouped_shares(path)
+        assert info.value.line == line
+
     def test_volatility_trend_tax(self, tmp_path):
         vol = tmp_path / "v.csv"
         vol.write_text("lo_pct,hi_pct,sigma_low,sigma_high\n"
@@ -272,6 +285,12 @@ class TestCommands:
         cfg.write_text("[1]")
         assert main(["project", "--config", str(cfg)]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_config_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{\"n\": 10000,")
+        assert main(["project", "--config", str(cfg)]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert main(["project", "--config", "/nonexistent/cfg.json"]) == 1

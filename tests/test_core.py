@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rankdist as rd
-from rankdist.core import as_brackets
+from rankdist.core import as_brackets, as_integer, per_rank_values
 
 
 class TestMakeRankedShares:
@@ -38,6 +39,30 @@ class TestMakeRankedShares:
         s = rd.make_ranked_shares(values)
         np.testing.assert_array_equal(s.shares, values)
 
+    @pytest.mark.parametrize("values, message", [
+        ([], "nonempty 1-D"),
+        ([[0.6, 0.4]], "nonempty 1-D"),
+        ([0.6, np.nan], "non-finite"),
+    ], ids=["empty", "2d", "nan"])
+    def test_bad_vector_rejected(self, values, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            rd.make_ranked_shares(values)
+
+
+class TestAsInteger:
+    @pytest.mark.parametrize("value", [10_000, 1e4, np.int64(10_000)],
+                             ids=["int", "integral_float", "numpy_int"])
+    def test_integral_value_accepted(self, value):
+        n = as_integer(value, "n", 2)
+        assert n == 10_000 and type(n) is int
+
+    @pytest.mark.parametrize("value", [1.5, True, "7", 1, 2 ** 64],
+                             ids=["fraction", "bool", "str", "below",
+                                  "above"])
+    def test_bad_value_rejected(self, value):
+        with pytest.raises(rd.RankModelError, match="seed must be an integer"):
+            as_integer(value, "seed", 2, 2 ** 64)
+
 
 class TestRankParameters:
     def test_kappa_recomputed(self):
@@ -66,6 +91,13 @@ class TestBracketToRanks:
     def test_non_integer_boundary(self):
         with pytest.raises(rd.NonIntegerBoundaryError):
             rd.bracket_to_ranks((0, 0.03), 1000)
+
+    @pytest.mark.parametrize("bracket", [(5, 5), (20, 10), (-1, 10),
+                                         (10, 101)],
+                             ids=["empty", "reversed", "below_0", "above_100"])
+    def test_invalid_bracket_rejected(self, bracket):
+        with pytest.raises(rd.RankModelError, match="invalid bracket"):
+            rd.bracket_to_ranks(bracket, 1000)
 
     def test_partition_of_percent_space_partitions_ranks(self):
         brackets = [(0, 0.01), (0.01, 0.1), (0.1, 0.5), (0.5, 1), (1, 10),
@@ -177,6 +209,15 @@ class TestBracketLists:
         with pytest.raises(rd.RankModelError, match="must be a pair"):
             make(((0, 10, 20), (20, 100)))
 
+    @pytest.mark.parametrize("brackets", [
+        ((0, 10), (10, 10), (10, 100)), ((-5, 10), (10, 100)),
+        ((0, 10), (10, 101)),
+    ], ids=["empty", "below_0", "above_100"])
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_out_of_range_bracket_rejected(self, make, brackets):
+        with pytest.raises(rd.BracketGapError, match="invalid bracket"):
+            make(brackets)
+
     def test_sim_config_requires_partition(self):
         with pytest.raises(rd.BracketGapError, match="cover"):
             rd.SimConfig(n=100, seed=1, report_brackets=((0, 10),))
@@ -184,3 +225,93 @@ class TestBracketLists:
     def test_not_a_list_rejected(self):
         with pytest.raises(rd.RankModelError, match="list of"):
             as_brackets(5, "brackets", partition=False)
+
+
+class TestBracketTables:
+    """Every bracket table holds one finite value per bracket in each of
+    its columns."""
+
+    #: Each table type, built from brackets and one column used for all
+    #: of its value columns.
+    TABLES = {
+        "grouped": lambda b, c: rd.GroupedShares(brackets=b, shares=c),
+        "volatility": lambda b, c: rd.VolatilityTable(
+            brackets=b, sigma_low=c, sigma_high=c),
+        "trend": lambda b, c: rd.TrendSpec(brackets=b, growth=c),
+        "tax": lambda b, c: rd.TaxSchedule(brackets=b, rate=c),
+    }
+    #: A word of the message that names the column.
+    NAMES = {"grouped": "shares", "volatility": "sigma", "trend": "growth",
+             "tax": "rate"}
+    HALVES = ((0, 50), (50, 100))
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_valid_column_accepted(self, kind):
+        table = self.TABLES[kind](self.HALVES, [0.5, 0.5])
+        assert table.brackets == ((0.0, 50.0), (50.0, 100.0))
+
+    @pytest.mark.parametrize("column", [[0.5], [0.5, 0.5, 0.5]],
+                             ids=["short", "long"])
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_length_mismatch_rejected(self, kind, column):
+        with pytest.raises(rd.RankModelError, match=self.NAMES[kind]):
+            self.TABLES[kind](self.HALVES, column)
+
+
+class TestBracketArithmeticProperties:
+    """Bracket arithmetic at n = k * 10^4 over random partitions whose cuts
+    are multiples of 0.01%, so every cut lands on an integer rank."""
+
+    @staticmethod
+    @st.composite
+    def partitions(draw):
+        k = draw(st.integers(1, 5))
+        cuts = draw(st.lists(st.integers(1, 9_999), max_size=12, unique=True))
+        ends = [0] + sorted(cuts) + [10_000]
+        brackets = tuple((lo / 100, hi / 100)
+                         for lo, hi in zip(ends, ends[1:]))
+        return k * 10_000, brackets
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=partitions())
+    def test_ranges_tile_the_population(self, case):
+        n, brackets = case
+        ranges = [rd.bracket_to_ranks(b, n) for b in brackets]
+        assert ranges[0][0] == 1 and ranges[-1][1] == n
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+            assert lo == hi + 1
+        assert all(lo <= hi for lo, hi in ranges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=partitions(), data=st.data())
+    def test_per_rank_values_repeat_each_bracket(self, case, data):
+        n, brackets = case
+        values = data.draw(st.lists(st.floats(-1e3, 1e3),
+                                    min_size=len(brackets),
+                                    max_size=len(brackets)))
+        counts = [hi - lo + 1 for lo, hi in
+                  (rd.bracket_to_ranks(b, n) for b in brackets)]
+        np.testing.assert_array_equal(per_rank_values(brackets, values, n),
+                                      np.repeat(values, counts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=partitions())
+    def test_uniform_shares_group_to_widths(self, case):
+        n, brackets = case
+        grouped = rd.group_shares(np.full(n, 1.0 / n), brackets)
+        widths = np.array([hi - lo for lo, hi in brackets]) / 100
+        np.testing.assert_allclose(grouped.shares, widths, rtol=0,
+                                   atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=partitions(), data=st.data())
+    def test_cut_off_the_rank_grid_rejected(self, case, data):
+        n, brackets = case
+        i = data.draw(st.integers(0, len(brackets) - 1))
+        lo, hi = brackets[i]
+        # Move the cut by a fraction of one rank (100 / n percent).
+        shift = data.draw(st.floats(0.1, 0.9)) * 100 / n
+        bad = (lo, hi - shift) if data.draw(st.booleans()) \
+            else (lo + shift, hi)
+        with pytest.raises(rd.NonIntegerBoundaryError):
+            rd.bracket_to_ranks(bad, n)

@@ -35,6 +35,7 @@ CASES = {
     "report_sigma_high": ["report", "--sigma", "high"],
     "tax_scenario1_sigma_high": ["tax", "--scenario", "1", "--sigma", "high"],
     "simulate_seed7": ["simulate", "--seed", "7"],
+    "table_files": ["tax", "--scenario", "t.csv", "--sigma", "high"],
 }
 
 #: Config keys merged over ``{"n": N}`` for a case.  The simulation clips
@@ -42,6 +43,24 @@ CASES = {
 #: calibrated rate moves it by about 11.6 log units in one step.
 OVERLAYS = {
     "simulate_seed7": {"simulation": {"drift_clip": 2.0}},
+    "table_files": {"grouped_shares": "g.csv", "volatility": "v.csv",
+                    "tax": "x.csv"},
+}
+
+#: Input tables written next to ``config.json`` for a case.  Every bracket
+#: end is a multiple of 0.01%, so it lands on an integer rank at n = 10^4;
+#: the trend and the tax cover only part of [0, 100).
+FILES = {
+    "table_files": {
+        "g.csv": "lo_pct,hi_pct,share\n0,0.05,0.15\n0.05,0.5,0.2\n"
+                 "0.5,5,0.25\n5,100,0.4\n",
+        "v.csv": "lo_pct,hi_pct,sigma_low,sigma_high\n0,1,0.25,0.3\n"
+                 "1,20,0.27,0.35\n20,100,0.3,0.9\n",
+        "t.csv": "lo_pct,hi_pct,growth_per_year\n0,0.05,0.01\n"
+                 "50,100,-0.003\n",
+        "x.csv": "lo_pct,hi_pct,tax_rate_per_year\n0,0.1,0.015\n"
+                 "0.1,2,0.005\n",
+    },
 }
 
 
@@ -51,6 +70,8 @@ def _sha256(data: bytes) -> str:
 
 def digests(case: str, work: Path) -> dict:
     """Run one case in ``work``; digest its stdout and output files."""
+    for name, text in FILES.get(case, {}).items():
+        (work / name).write_text(text, encoding="utf-8")
     config = work / "config.json"
     config.write_text(json.dumps({"n": N, **OVERLAYS.get(case, {})}),
                       encoding="utf-8")

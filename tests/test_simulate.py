@@ -27,9 +27,10 @@ class TestGapOracle:
         {"sigma": float("nan")}, {"dt": float("inf")},
         {"horizon": float("nan")}, {"burn_in": -float("inf")},
         {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5},
+        {"sigma": -0.2}, {"burn_in": 10.0},
     ], ids=["kappa_nan", "kappa_inf", "sigma_nan", "dt_inf", "horizon_nan",
             "burn_in_neg_inf", "seed_negative", "seed_2_64",
-            "seed_not_integral"])
+            "seed_not_integral", "sigma_negative", "burn_in_past_horizon"])
     def test_bad_argument_rejected(self, override):
         kwargs = {**dict(kappa=0.5, sigma=0.2, dt=1e-3, horizon=10.0,
                          burn_in=1.0, seed=1), **override}
@@ -60,6 +61,19 @@ class TestSimulateRanked:
                     report_brackets=self.BRACKETS)
         base.update(overrides)
         return rd.SimConfig(**base)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": -0.1}, "dt must be positive"),
+        ({"horizon": 0.5}, "need horizon >= record_every > 0"),
+        ({"record_every": 0.0}, "need horizon >= record_every > 0"),
+        ({"drift_clip": 0.0}, "drift_clip must be positive"),
+        ({"drift_clip": -1.0}, "drift_clip must be positive"),
+    ], ids=["dt_zero", "dt_negative", "horizon_below_record_every",
+            "record_every_zero", "drift_clip_zero", "drift_clip_negative"])
+    def test_bad_config_rejected(self, override, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            self.config(50, **override)
 
     def test_no_dynamics_constant_shares(self):
         n = 50

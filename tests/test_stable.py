@@ -8,6 +8,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rankdist as rd
+from rankdist.stable import gaps_from_prefix_sums
 
 
 class TestKappaFromAlpha:
@@ -51,6 +52,19 @@ class TestStableGaps:
         with pytest.raises(rd.UnstableError) as info:
             rd.stable_gaps(p)
         assert info.value.rank == 1
+
+    @pytest.mark.parametrize("gaps, message", [
+        ([0.1], "length n - 1"),
+        ([0.1, -0.1], "finite and nonnegative"),
+        ([0.1, np.inf], "finite and nonnegative"),
+    ], ids=["short", "negative", "inf"])
+    def test_bad_gaps_rejected(self, gaps, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            rd.StableGaps(n=3, gaps=np.array(gaps))
+
+    def test_prefix_sums_and_sigma_differ_in_length(self):
+        with pytest.raises(rd.RankModelError, match="differ in length"):
+            gaps_from_prefix_sums(np.array([-0.1, -0.2]), np.array([0.3]))
 
     def test_scale_invariance(self):
         # Doubling sigma multiplies gaps by exactly 4 (power-of-two scaling
@@ -110,6 +124,13 @@ class TestAlphaFromShares:
             rd.alpha_from_shares(s, np.array([0.3, 0.3]))
         assert info.value.rank == 1
 
+    @pytest.mark.parametrize("sigma", [[0.3], [0.3, 0.3, 0.3]],
+                             ids=["short", "long"])
+    def test_sigma_length_mismatch_rejected(self, sigma):
+        s = rd.make_ranked_shares([0.5, 0.3, 0.2])
+        with pytest.raises(rd.RankModelError, match="length n - 1"):
+            rd.alpha_from_shares(s, np.array(sigma))
+
     def test_nonpositive_sigma_rejected(self):
         s = rd.make_ranked_shares([0.5, 0.3, 0.2])
         with pytest.raises(rd.NonPositiveSigmaError):
@@ -155,6 +176,13 @@ class TestTopGroupStable:
                               sigma=np.array([0.3, 0.3]))
         limit = rd.top_group_stable(p, 1)
         np.testing.assert_array_equal(limit.shares, [1.0])
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_group_size_out_of_range_rejected(self, m):
+        p = rd.RankParameters(n=3, alpha=np.array([0.03, -0.02, -0.01]),
+                              sigma=np.array([0.3, 0.3]))
+        with pytest.raises(rd.RankModelError, match="outside 1..3"):
+            rd.top_group_stable(p, m)
 
     def test_stable_configuration_rejected(self):
         p = rd.make_rank_parameters([-0.01, -0.01, 0.02], [0.3, 0.3])
