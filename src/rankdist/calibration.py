@@ -12,7 +12,7 @@ Two ingredients turn bracket-level data into full rank-level parameters:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -88,11 +88,10 @@ def default_volatility_table() -> VolatilityTable:
     )
 
 
-def volatility_from_components(investment_sd: float, labor_rel_sd,
-                               brackets: Sequence = _DEFAULT_VOL_BRACKETS,
-                               ) -> VolatilityTable:
-    """Build a volatility table from investment and relative-labor-income
-    standard deviations.
+def volatility_from_components(investment_sd: float,
+                               labor_rel_sd) -> VolatilityTable:
+    """Build a volatility table on the default brackets from investment and
+    relative-labor-income standard deviations (one labor value per bracket).
 
     Per bracket, sigma = sqrt(2 * (investment_sd**2 + labor_rel_sd**2)); the
     low variant sets labor_rel_sd = 0, giving sqrt(2) * investment_sd.
@@ -101,11 +100,9 @@ def volatility_from_components(investment_sd: float, labor_rel_sd,
     labor = np.asarray(labor_rel_sd, dtype=np.float64)
     if investment_sd < 0 or np.any(labor < 0):
         raise NegativeInputError("standard deviations must be nonnegative")
-    if labor.size != len(brackets):
-        raise RankModelError("labor_rel_sd must have one value per bracket")
     high = np.sqrt(2.0 * (investment_sd ** 2 + labor ** 2))
-    low = np.full(len(brackets), np.sqrt(2.0) * investment_sd)
-    return VolatilityTable(brackets=tuple(brackets), sigma_low=low,
+    low = np.full(len(_DEFAULT_VOL_BRACKETS), np.sqrt(2.0) * investment_sd)
+    return VolatilityTable(brackets=_DEFAULT_VOL_BRACKETS, sigma_low=low,
                           sigma_high=high)
 
 

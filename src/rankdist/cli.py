@@ -12,7 +12,7 @@ The JSON config selects the population size, sigma variant, data files
 (falling back to packaged defaults), reporting brackets (by default the
 target's), and the simulation block; the domain types check each value.
 Command-line flags override config fields.  Exit codes: 0 success, 1 on any
-:class:`RankModelError`.
+:class:`RankModelError`, usage errors included.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ def _load_config(args) -> RunConfig:
         _check_keys(raw, _CONFIG_KEYS, f"config {path}")
         _check_keys(raw.get("simulation", {}), _SIMULATION_KEYS,
                     f"config {path} simulation block")
+        for key in ("grouped_shares", "volatility", "tax", "out_dir"):
+            if raw.get(key) is not None and not isinstance(raw[key], str):
+                raise RankModelError(f"{key} must be a path string, got "
+                                     f"{raw[key]!r}")
     base = Path(args.config).parent if args.config else Path.cwd()
 
     def resolve(name):
@@ -115,6 +119,7 @@ def _load_config(args) -> RunConfig:
     vol_path = resolve("volatility")
     volatility = (fileio.read_volatility_table(vol_path) if vol_path
                   else default_volatility_table())
+    volatility.variant(sigma_variant)
 
     scenario = args.scenario if args.scenario is not None \
         else raw.get("scenario", 1)
@@ -130,7 +135,7 @@ def _load_config(args) -> RunConfig:
     report_brackets = as_brackets(
         raw.get("reporting_brackets", target.brackets), "reporting_brackets",
         partition=True)
-    out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "."))
+    out_dir = Path(args.out or raw.get("out_dir") or ".")
     sim = dict(raw.get("simulation", {}))
     if getattr(args, "seed", None) is not None:
         sim["seed"] = args.seed
@@ -233,8 +238,13 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1, like any other error
+        raise RankModelError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankdist",
         description="Rank-based wealth distribution model: calibration, "
                     "projection, capital-tax analysis, and simulation.")
@@ -268,10 +278,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_load_config(args))
     except RankModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -300,6 +300,21 @@ class RankParameters:
         return -2.0 * prefix_sum(self.alpha)[:-1]
 
 
+def _freeze_table(table, *columns: str, partition: bool) -> None:
+    """Check and freeze a bracket table: its brackets by :func:`as_brackets`,
+    each named column as one finite float64 value per bracket."""
+    brackets = as_brackets(table.brackets, "brackets", partition=partition)
+    for name in columns:
+        column = np.asarray(getattr(table, name), dtype=np.float64)
+        if column.shape != (len(brackets),):
+            raise RankModelError(f"{name} must hold one value per bracket "
+                                 f"({len(brackets)}), not {column.shape}")
+        if not np.all(np.isfinite(column)):
+            raise RankModelError(f"{name} contains non-finite values")
+        _freeze(table, **{name: column})
+    _freeze(table, brackets=brackets)
+
+
 @dataclass(frozen=True)
 class GroupedShares:
     """Bracket-level wealth shares, brackets in percent rank from the top."""
@@ -308,14 +323,10 @@ class GroupedShares:
     shares: np.ndarray
 
     def __post_init__(self):
-        brackets = as_brackets(self.brackets, "brackets", partition=True)
-        shares = _as_float_vector(self.shares, "shares")
-        if len(brackets) != shares.size:
-            raise RankModelError("brackets and shares differ in length")
-        if abs(shares.sum() - 1.0) > 1e-6:
-            raise BadSumError(f"grouped shares sum to {shares.sum():.8f}, "
-                              f"expected 1 within 1e-6")
-        _freeze(self, brackets=brackets, shares=shares)
+        _freeze_table(self, "shares", partition=True)
+        if abs(self.shares.sum() - 1.0) > 1e-6:
+            raise BadSumError(f"grouped shares sum to {self.shares.sum():.8f}"
+                              f", expected 1 within 1e-6")
 
 
 @dataclass(frozen=True)
@@ -327,14 +338,9 @@ class VolatilityTable:
     sigma_high: np.ndarray
 
     def __post_init__(self):
-        brackets = as_brackets(self.brackets, "brackets", partition=True)
-        low = _as_float_vector(self.sigma_low, "sigma_low")
-        high = _as_float_vector(self.sigma_high, "sigma_high")
-        if not (len(brackets) == low.size == high.size):
-            raise RankModelError("brackets and sigma columns differ in length")
-        if np.any(low <= 0) or np.any(high <= 0):
+        _freeze_table(self, "sigma_low", "sigma_high", partition=True)
+        if np.any(self.sigma_low <= 0) or np.any(self.sigma_high <= 0):
             raise NonPositiveSigmaError("volatilities must be positive")
-        _freeze(self, brackets=brackets, sigma_low=low, sigma_high=high)
 
     def variant(self, which: str) -> np.ndarray:
         if which == "low":
@@ -343,19 +349,6 @@ class VolatilityTable:
             return self.sigma_high
         raise RankModelError(f"unknown sigma variant {which!r}; "
                              f"expected 'low' or 'high'")
-
-
-def _freeze_bracket_values(spec, name: str) -> np.ndarray:
-    """Validate and freeze a (possibly partial) bracket list and its
-    same-length vector of finite values, stored in attribute ``name``."""
-    brackets = as_brackets(spec.brackets, "brackets", partition=False)
-    values = np.asarray(getattr(spec, name), dtype=np.float64)
-    if len(brackets) != values.size:
-        raise RankModelError(f"brackets and {name} differ in length")
-    if not np.all(np.isfinite(values)):
-        raise RankModelError(f"{name} contains non-finite values")
-    _freeze(spec, brackets=brackets, **{name: values})
-    return values
 
 
 @dataclass(frozen=True)
@@ -369,7 +362,7 @@ class TrendSpec:
     growth: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        _freeze_bracket_values(self, "growth")
+        _freeze_table(self, "growth", partition=False)
 
 
 @dataclass(frozen=True)
@@ -380,7 +373,8 @@ class TaxSchedule:
     rate: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        if np.any(_freeze_bracket_values(self, "rate") < 0):
+        _freeze_table(self, "rate", partition=False)
+        if np.any(self.rate < 0):
             raise NegativeInputError("tax rates must be nonnegative")
 
 
@@ -388,23 +382,20 @@ class TaxSchedule:
 class StabilityReport:
     """Outcome of the prefix-sum stability test on alpha.
 
-    ``stable`` is true iff every proper prefix sum of alpha is strictly
-    negative.  When unstable, ``m`` is the size of the divergent top group
-    (smallest argmax of the running averages ``A``), and ``unique_max``
-    records whether that argmax is unique.
+    Stable iff every proper prefix sum of alpha is strictly negative; then
+    every field is None.  When unstable, ``m`` is the size of the divergent
+    top group (smallest argmax of the running averages ``A``), and
+    ``unique_max`` records whether that argmax is unique.
     """
 
-    stable: bool
-    first_violation: Optional[int]
-    m: Optional[int]
-    A: Optional[np.ndarray]
-    unique_max: Optional[bool]
+    first_violation: Optional[int] = None
+    m: Optional[int] = None
+    A: Optional[np.ndarray] = None
+    unique_max: Optional[bool] = None
 
-    def __post_init__(self):
-        if self.stable != (self.first_violation is None):
-            raise RankModelError("stable must match absence of first_violation")
-        if self.stable != (self.m is None):
-            raise RankModelError("m must be present exactly when unstable")
+    @property
+    def stable(self) -> bool:
+        return self.m is None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     GroupedShares,
     ParseError,
+    RankModelError,
     TaxSchedule,
     TrendSpec,
     VolatilityTable,
@@ -43,9 +44,9 @@ __all__ = [
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def _read_table(path, *values: str):
-    """Brackets and value columns of a numeric CSV headed
-    ``lo_pct,hi_pct,<values>``; each column is a tuple of floats."""
+def _read_table(path, make, *values: str):
+    """``make(brackets, *columns)`` from a CSV headed ``lo_pct,hi_pct,
+    <values>``; an error ``make`` raises gains the path in front."""
     path = Path(path)
     header = ("lo_pct", "hi_pct") + values
     try:
@@ -73,27 +74,31 @@ def _read_table(path, *values: str):
     if not out:
         raise ParseError(path, 2, "no data rows")
     lo, hi, *columns = zip(*out)
-    return (tuple(zip(lo, hi)), *columns)
+    try:
+        return make(tuple(zip(lo, hi)), *columns)
+    except RankModelError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_grouped_shares(path) -> GroupedShares:
     """Read bracket shares from a CSV with header lo_pct,hi_pct,share."""
-    return GroupedShares(*_read_table(path, "share"))
+    return _read_table(path, GroupedShares, "share")
 
 
 def read_volatility_table(path) -> VolatilityTable:
     """Read a CSV with header lo_pct,hi_pct,sigma_low,sigma_high."""
-    return VolatilityTable(*_read_table(path, "sigma_low", "sigma_high"))
+    return _read_table(path, VolatilityTable, "sigma_low", "sigma_high")
 
 
 def read_trend(path) -> TrendSpec:
     """Read a CSV with header lo_pct,hi_pct,growth_per_year."""
-    return TrendSpec(*_read_table(path, "growth_per_year"))
+    return _read_table(path, TrendSpec, "growth_per_year")
 
 
 def read_tax(path) -> TaxSchedule:
     """Read a CSV with header lo_pct,hi_pct,tax_rate_per_year."""
-    return TaxSchedule(*_read_table(path, "tax_rate_per_year"))
+    return _read_table(path, TaxSchedule, "tax_rate_per_year")
 
 
 def write_lines(path, lines: Sequence[str]) -> None:

@@ -57,16 +57,19 @@ __all__ = [
 class ProjectionOutcome:
     """Result of a projection.
 
-    ``kind`` is "stable" or "divergent".  ``shares`` is the full limit share
-    vector: in the divergent case ranks beyond m are exactly zero and the
-    top-m shares sum to one, which is why this is a plain array rather than
-    a strictly-positive RankedShares.
+    ``shares`` is the full limit share vector: in the divergent case ranks
+    beyond m are exactly zero and the top-m shares sum to one, which is why
+    this is a plain array rather than a strictly-positive RankedShares.
     """
 
-    kind: str
     shares: np.ndarray
     report: StabilityReport
     grouped: GroupedShares
+
+    @property
+    def kind(self) -> str:
+        """Either "stable" or "divergent", read off the stability report."""
+        return "stable" if self.report.stable else "divergent"
 
 
 def apply_trend(params: RankParameters, trend: TrendSpec) -> RankParameters:
@@ -143,12 +146,9 @@ def project(params: RankParameters,
         sums = prefix_sum(params.alpha)[:-1]
         shares = shares_from_gaps(
             gaps_from_prefix_sums(sums, params.sigma)).shares
-        kind = "stable"
     else:
         top = top_group_stable(params, report.m)
         shares = np.zeros(params.n)
         shares[:report.m] = top.shares
-        kind = "divergent"
     grouped = group_shares(shares, reporting_brackets)
-    return ProjectionOutcome(kind=kind, shares=shares, report=report,
-                             grouped=grouped)
+    return ProjectionOutcome(shares=shares, report=report, grouped=grouped)

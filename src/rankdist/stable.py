@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (
     GroupUnstableError,
-    NonPositiveSigmaError,
     NotDivergentError,
     RankedShares,
     RankModelError,
@@ -30,6 +29,7 @@ from .core import (
     StabilityReport,
     TiedSharesError,
     UnstableError,
+    _freeze,
     check_zero_sum,
     prefix_sum,
 )
@@ -59,8 +59,7 @@ class StableGaps:
             raise RankModelError("gaps must have length n - 1")
         if np.any(~np.isfinite(gaps)) or np.any(gaps < 0):
             raise RankModelError("gaps must be finite and nonnegative")
-        gaps.setflags(write=False)
-        object.__setattr__(self, "gaps", gaps)
+        _freeze(self, gaps=gaps)
 
 
 def kappa_from_alpha(alpha) -> np.ndarray:
@@ -111,8 +110,6 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     n = shares.n
     if sigma.size != n - 1:
         raise RankModelError("sigma must have length n - 1")
-    if np.any(sigma <= 0):
-        raise NonPositiveSigmaError("all sigma values must be positive")
     values = shares.shares
     # log1p of the adjacent ratio keeps full relative precision even when
     # neighboring shares are nearly tied (log-difference would lose ~6
@@ -145,14 +142,13 @@ def check_stability(alpha) -> StabilityReport:
     sums = prefix_sum(alpha)
     bad = sums[:-1] >= 0
     if not np.any(bad):
-        return StabilityReport(stable=True, first_violation=None, m=None,
-                               A=None, unique_max=None)
+        return StabilityReport()
     first = int(np.argmax(bad)) + 1
     A = sums / np.arange(1, alpha.size + 1)
     m = int(np.argmax(A)) + 1  # np.argmax returns the smallest index on ties
     unique = int(np.count_nonzero(A == A[m - 1])) == 1
-    return StabilityReport(stable=False, first_violation=first, m=m,
-                           A=A, unique_max=unique)
+    return StabilityReport(first_violation=first, m=m, A=A,
+                           unique_max=unique)
 
 
 def top_group_stable(params: RankParameters, m: int) -> RankedShares:

@@ -74,6 +74,25 @@ class TestReaders:
             fileio.read_grouped_shares(path)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("read, text, error", [
+        (fileio.read_grouped_shares,
+         "lo_pct,hi_pct,share\n0,10,0.5\n5,100,0.5\n", rd.BracketGapError),
+        (fileio.read_volatility_table,
+         "lo_pct,hi_pct,sigma_low,sigma_high\n0,100,0.3,0\n",
+         rd.NonPositiveSigmaError),
+        (fileio.read_trend, "lo_pct,hi_pct,growth_per_year\n10,5,0.01\n",
+         rd.BracketGapError),
+        (fileio.read_tax, "lo_pct,hi_pct,tax_rate_per_year\n0,1,-0.01\n",
+         rd.NegativeInputError),
+    ], ids=["grouped", "volatility", "trend", "tax"])
+    def test_table_error_names_its_file(self, tmp_path, read, text, error):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            read(path)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_volatility_trend_tax(self, tmp_path):
         vol = tmp_path / "v.csv"
         vol.write_text("lo_pct,hi_pct,sigma_low,sigma_high\n"
@@ -244,6 +263,12 @@ class TestCommands:
          "reporting_brackets must cover [0, 100) exactly"),
         ({"reporting_brackets": []}, ["project"],
          "reporting_brackets must cover [0, 100) exactly"),
+        ({"tax": 5}, ["tax"], "tax must be a path string, got 5"),
+        ({"volatility": 3}, ["project"],
+         "volatility must be a path string, got 3"),
+        ({"grouped_shares": ["a"]}, ["project"],
+         "grouped_shares must be a path string, got ['a']"),
+        ({"out_dir": 5}, ["project"], "out_dir must be a path string, got 5"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
             "record_every_bool", "horizon_inf", "drift_clip_nan",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
@@ -251,7 +276,9 @@ class TestCommands:
             "breakpoints_not_numbers", "reporting_bracket_not_a_number",
             "scenario_not_integral", "scenario_unicode_digit",
             "sigma_variant_unknown", "reporting_brackets_not_a_partition",
-            "reporting_brackets_empty"])
+            "reporting_brackets_empty", "tax_not_a_path",
+            "volatility_not_a_path", "grouped_shares_not_a_path",
+            "out_dir_not_a_path"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
                                           argv, message):
         cfg = tmp_path / "cfg.json"
@@ -285,6 +312,39 @@ class TestCommands:
         cfg.write_text("[1]")
         assert main(["project", "--config", str(cfg)]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "--bogus"], "unrecognized arguments: --bogus"),
+        (["report", "--sigma", "mid"], "invalid choice: 'mid'"),
+        (["simulate", "--seed", "x"], "invalid int value: 'x'"),
+        ([], "required: command"),
+    ], ids=["unknown_flag", "bad_sigma", "bad_seed", "no_command"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rankdist")
+        assert message in err
+
+    def test_table_error_names_its_file_at_exit(self, tmp_path, capsys):
+        (tmp_path / "g.csv").write_text("lo_pct,hi_pct,share\n0,10,0.5\n"
+                                        "5,100,0.5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10000, "grouped_shares": "g.csv"}))
+        assert main(["project", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'g.csv'}: brackets overlap near 5.0%\n")
+
+    def test_sigma_variant_checked_before_the_fit(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def fit(*args):
+            raise rd.RankModelError("the fit ran")
+
+        monkeypatch.setattr("rankdist.cli.fit_piecewise_pareto", fit)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10000, "sigma_variant": "mid"}))
+        assert main(["calibrate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "unknown sigma variant 'mid'" in capsys.readouterr().err
 
     def test_config_not_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -257,6 +257,16 @@ class TestBracketTables:
         with pytest.raises(rd.RankModelError, match=self.NAMES[kind]):
             self.TABLES[kind](self.HALVES, column)
 
+    @pytest.mark.parametrize("brackets, column", [
+        (HALVES, [[0.5], [0.5]]), (HALVES, [[0.5, 0.5]]), (((0, 100),), 1.0),
+    ], ids=["column", "row", "scalar"])
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_column_must_be_one_dimensional(self, kind, brackets, column):
+        with pytest.raises(rd.RankModelError,
+                           match=f"{self.NAMES[kind]}.* must hold one value "
+                                 f"per bracket"):
+            self.TABLES[kind](brackets, column)
+
 
 class TestBracketArithmeticProperties:
     """Bracket arithmetic at n = k * 10^4 over random partitions whose cuts
