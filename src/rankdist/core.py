@@ -174,8 +174,17 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(values, dtype=np.longdouble)).astype(np.float64)
 
 
+def _as_float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; what numpy cannot convert raises
+    :class:`RankModelError` naming ``name``."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise RankModelError(f"{name} must hold numbers: {exc}") from exc
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_float_array(values, name)
     if arr.ndim != 1 or arr.size == 0:
         raise RankModelError(f"{name} must be a nonempty 1-D vector")
     if not np.all(np.isfinite(arr)):
@@ -305,7 +314,7 @@ def _freeze_table(table, *columns: str, partition: bool) -> None:
     each named column as one finite float64 value per bracket."""
     brackets = as_brackets(table.brackets, "brackets", partition=partition)
     for name in columns:
-        column = np.asarray(getattr(table, name), dtype=np.float64)
+        column = _as_float_array(getattr(table, name), name)
         if column.shape != (len(brackets),):
             raise RankModelError(f"{name} must hold one value per bracket "
                                  f"({len(brackets)}), not {column.shape}")

@@ -220,6 +220,11 @@ class TestBracketLists:
             as_brackets(5, "brackets", partition=False)
 
 
+#: Two-entry columns numpy cannot convert to float64.
+NOT_NUMBERS = {"strings": ["a", "b"], "objects": [{}, {}],
+               "ragged": [[0.5], [0.5, 0.5]]}
+
+
 class TestBracketTables:
     """Every bracket table holds one finite value per bracket in each of
     its columns."""
@@ -254,6 +259,32 @@ class TestBracketTables:
                            match=f"{self.NAMES[kind]}.* must hold one value "
                                  f"per bracket"):
             self.TABLES[kind](brackets, column)
+
+    @pytest.mark.parametrize("column", NOT_NUMBERS.values(),
+                             ids=NOT_NUMBERS.keys())
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_column_of_non_numbers_rejected(self, kind, column):
+        with pytest.raises(rd.RankModelError,
+                           match=f"{self.NAMES[kind]}.* must hold numbers"):
+            self.TABLES[kind](self.HALVES, column)
+
+
+class TestVectorsOfNonNumbers:
+    """A vector numpy cannot read as float64 raises RankModelError naming
+    its field, as a table column does."""
+
+    @pytest.mark.parametrize("values", NOT_NUMBERS.values(),
+                             ids=NOT_NUMBERS.keys())
+    @pytest.mark.parametrize("field, make", [
+        ("shares", lambda v: rd.RankedShares(n=2, shares=v)),
+        ("alpha", lambda v: rd.RankParameters(n=2, alpha=v, sigma=[1.0])),
+        ("sigma", lambda v: rd.RankParameters(n=3, alpha=[0.1, 0.0, -0.1],
+                                              sigma=v)),
+    ], ids=["ranked_shares", "alpha", "sigma"])
+    def test_rejected_naming_the_field(self, field, make, values):
+        with pytest.raises(rd.RankModelError,
+                           match=f"{field} must hold numbers"):
+            make(values)
 
 
 class TestBracketArithmeticProperties:
