@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -218,7 +219,10 @@ def cmd_report(cfg: RunConfig) -> int:
         return scenario_id, taxed, outcome
 
     jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+    # One thread per core: more only leave their freed n-long arrays
+    # behind in glibc's per-thread arenas, raising the process's RSS.
+    with ThreadPoolExecutor(max_workers=min(len(jobs),
+                                            os.cpu_count() or 1)) as pool:
         results = list(pool.map(lambda job: cell(*job), jobs))
 
     lines = [f"n = {cfg.n}, sigma variant = {cfg.sigma_variant}",

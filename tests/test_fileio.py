@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankdist import fileio
-from rankdist.core import GroupedShares
+from rankdist.core import GroupedShares, RankModelError
 
 
 def reference(header, *columns) -> bytes:
@@ -115,6 +115,17 @@ class TestWriteTableCells:
     def test_table_sizes(self, tmp_path, rows):
         values = np.linspace(-1.0, 1.0, rows) ** 3
         assert_table_bytes(tmp_path, np.arange(rows), values)
+
+
+class TestWriteTableShape:
+    @pytest.mark.parametrize("columns", [
+        ([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([1.0], [[1.0]]),
+        ([1.0],),
+    ], ids=["second_short", "first_short", "two_dimensional", "too_few"])
+    def test_columns_must_match_the_header(self, tmp_path, columns):
+        with pytest.raises(RankModelError, match="one 1-D column per header"):
+            fileio._write_table(tmp_path / "t.csv", ("a", "b"), *columns)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestPublicWriters:
