@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize as scipy_minimize
 
 import rankdist as rd
 from rankdist import calibration
@@ -178,6 +179,59 @@ class TestClosedFormBracketSums:
             out = sums(np.array(slopes))
             assert np.all(np.isfinite(out))
             assert out.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestMinimizeMatchesScipy:
+    """``calibration.minimize`` takes the steps of scipy's Nelder-Mead with
+    the fit's settings: the same best vertex, value and evaluation count."""
+
+    COORD = st.one_of(st.just(0.0), st.floats(-3.0, 1.0))
+    START = st.tuples(COORD, COORD, COORD)
+
+    @staticmethod
+    def check(objective, start):
+        ours = calibration.minimize(objective, start)
+        ref = scipy_minimize(objective, start, method="Nelder-Mead",
+                             options=dict(xatol=1e-8, fatol=1e-12,
+                                          maxiter=3000))
+        np.testing.assert_array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun
+        assert ours.nfev == ref.nfev
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([10**4, 10**5]),
+           breakpoints=st.sampled_from([(0.01, 10.0), (0.1, 1.0),
+                                        (0.5, 40.0)]),
+           start=START)
+    @example(n=10**5, breakpoints=(0.01, 10.0), start=(-0.9, -0.75, -1.5))
+    @example(n=10**4, breakpoints=(0.1, 1.0), start=(0.0, 0.0, 0.0))
+    def test_fit_objective(self, n, breakpoints, start):
+        bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                                 for b in TARGET_2012.brackets])
+        _seg, b1, b2 = calibration._segment_index(n, breakpoints)
+        sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
+        self.check(lambda s: float(np.abs(sums(s) - TARGET_2012.shares).sum()),
+                   start)
+
+    @settings(max_examples=12, deadline=None)
+    @given(start=START)
+    @example(start=(0.0, 0.0, 0.0))
+    def test_rounded_quadratic_with_ties(self, start):
+        # Rounding flattens the bowl: whole simplices share one value.
+        def objective(x):
+            return round(float(np.sum((x - [0.5, -1.0, 0.0]) ** 2)), 2)
+
+        self.check(objective, start)
+
+    @settings(max_examples=12, deadline=None)
+    @given(start=START)
+    @example(start=(0.0, 0.0, 0.0))
+    def test_rosenbrock(self, start):
+        def objective(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                + (1.0 - x[:-1]) ** 2))
+
+        self.check(objective, start)
 
 
 class TestCalibrate:

@@ -71,6 +71,32 @@ class TestRankParameters:
             rd.make_rank_parameters([-0.01, 0.01], [0.0])
 
 
+class TestFrozenFieldsLeaveCallerArraysAlone:
+    """A domain type's array field is read-only, but the float64 array the
+    caller passed in stays writable."""
+
+    @pytest.mark.parametrize("size, make, field", [
+        (1, lambda a: rd.TrendSpec(brackets=((0, 1),), growth=a), "growth"),
+        (1, lambda a: rd.TaxSchedule(brackets=((0, 1),), rate=a), "rate"),
+        (2, lambda a: rd.GroupedShares(brackets=((0, 50), (50, 100)),
+                                       shares=a), "shares"),
+        (2, lambda a: rd.VolatilityTable(brackets=((0, 50), (50, 100)),
+                                         sigma_low=a, sigma_high=a),
+         "sigma_high"),
+        (4, lambda a: rd.RankedShares(n=4, shares=a), "shares"),
+        (4, lambda a: rd.RankParameters(n=4, alpha=a, sigma=np.ones(3)),
+         "alpha"),
+    ], ids=["trend", "tax", "grouped", "volatility", "ranked", "params"])
+    def test_caller_array_stays_writable(self, size, make, field):
+        values = np.full(size, 1.0 / size)
+        frozen = getattr(make(values), field)
+        assert np.shares_memory(frozen, values)
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = 1.0
+        values[0] = 0.75
+        assert frozen[0] == 0.75
+
+
 class TestBracketToRanks:
     def test_top_hundredth_percent_of_a_million(self):
         assert rd.bracket_to_ranks((0, 0.01), 10**6) == (1, 100)
@@ -91,6 +117,14 @@ class TestBracketToRanks:
     def test_invalid_bracket_rejected(self, bracket):
         with pytest.raises(rd.RankModelError, match="invalid bracket"):
             rd.bracket_to_ranks(bracket, 1000)
+
+    @pytest.mark.parametrize("bracket", [("0", "10"), (0, True), (np.nan, 10),
+                                         (0, 10, 20), "ab"],
+                             ids=["strings", "bool", "nan", "triple",
+                                  "string"])
+    def test_non_numeric_pair_rejected(self, bracket):
+        with pytest.raises(rd.RankModelError):
+            rd.bracket_to_ranks(bracket, 100)
 
     def test_partition_of_percent_space_partitions_ranks(self):
         brackets = [(0, 0.01), (0.01, 0.1), (0.1, 0.5), (0.5, 1), (1, 10),

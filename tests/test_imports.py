@@ -1,11 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""What the package imports.
 
-No linter is part of the toolchain, so this small ``ast`` pass stands in
-for the unused-import check.  ``__init__`` is skipped: its imports are the
-package's public names.
+No module imports a name it never uses: no linter is part of the
+toolchain, so a small ``ast`` pass stands in for the unused-import check
+(``__init__`` is skipped: its imports are the package's public names).
+And the package runs on numpy alone: importing it loads no scipy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,13 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_loads_no_scipy(cli_env):
+    code = ("import sys, rankdist, rankdist.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=cli_env("1"),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -162,6 +162,17 @@ class TestGapAverageReport:
         report = rd.gap_average_report(path, predicted)
         assert report["max"] == 0.0
 
+    @pytest.mark.parametrize("row", [[0.5, 0.4], [np.nan, np.nan],
+                                     [np.nan, 1.0]],
+                             ids=["short", "all_nan", "one_nan"])
+    def test_group_shares_must_sum_to_one(self, row):
+        with pytest.raises(rd.RankModelError, match="sum to 1"):
+            rd.SimulationPath(
+                times=np.array([1.0]),
+                group_shares=np.array([row]),
+                final_shares=rd.RankedShares(n=4, shares=np.full(4, 0.25)),
+                rank_gap_averages=np.full(3, 0.5))
+
     def test_dimension_mismatch(self):
         predicted = rd.StableGaps(n=3, gaps=np.array([0.5, 0.25]))
         path = rd.SimulationPath(

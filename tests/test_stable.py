@@ -28,6 +28,12 @@ class TestKappaFromAlpha:
         with pytest.raises(rd.BadAlphaSumError):
             rd.kappa_from_alpha([0.01, 0.01])
 
+    @pytest.mark.parametrize("alpha", [[np.nan, 0.0], [np.inf, -np.inf]],
+                             ids=["nan", "inf"])
+    def test_non_finite_rejected(self, alpha):
+        with pytest.raises(rd.RankModelError, match="non-finite"):
+            rd.kappa_from_alpha(alpha)
+
 
 class TestStableGaps:
     def test_two_rank_hand_value(self):
@@ -158,6 +164,13 @@ class TestCheckStability:
     def test_relaxed_sum_for_adjusted_rates(self):
         report = rd.check_stability([0.05, -0.01])
         assert not report.stable
+
+    @pytest.mark.parametrize("alpha", [[np.nan, -0.01, 0.01],
+                                       [-0.01, np.inf, 0.01]],
+                             ids=["nan", "inf"])
+    def test_non_finite_rejected(self, alpha):
+        with pytest.raises(rd.RankModelError, match="non-finite"):
+            rd.check_stability(alpha)
 
 
 class TestTopGroupStable:
