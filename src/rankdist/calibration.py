@@ -12,10 +12,9 @@ Two ingredients turn bracket-level data into full rank-level parameters:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     GroupedShares,
@@ -38,6 +37,7 @@ __all__ = [
     "default_volatility_table",
     "volatility_from_components",
     "expand_sigma",
+    "minimize",
     "fit_piecewise_pareto",
     "calibrate",
 ]
@@ -56,6 +56,11 @@ _STARTS = ((-0.9, -0.75, -1.5), (-0.7, -0.85, -1.9), (-1.1, -0.6, -1.2),
 _HEAD_TERMS = 32
 #: B_2k / (2k)! for k = 1..4: the Euler-Maclaurin corrections kept.
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
+
+#: The simplex search stops when every vertex is within ``_XATOL`` of the
+#: best in each coordinate and within ``_FATOL`` of its value, or after
+#: ``_MAXITER`` iterations.
+_XATOL, _FATOL, _MAXITER = 1e-8, 1e-12, 3000
 
 _DEFAULT_VOL_BRACKETS = ((0.0, 10.0), (10.0, 20.0), (20.0, 40.0),
                          (40.0, 60.0), (60.0, 100.0))
@@ -211,17 +216,98 @@ def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
     return sums
 
 
+class SimplexResult(NamedTuple):
+    """Outcome of :func:`minimize`: the best vertex, its objective value and
+    the number of objective evaluations made."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(objective: Callable[[np.ndarray], float],
+             start) -> SimplexResult:
+    """Nelder-Mead simplex search (Nelder & Mead, 1965) from ``start``.
+
+    Takes the steps of scipy 1.17's ``minimize(objective, start,
+    method="Nelder-Mead")`` without bounds, with xatol 1e-8, fatol 1e-12
+    and maxiter 3000: the first simplex scales each coordinate of
+    ``start`` by 1.05 (0 becomes 0.00025); each iteration reflects the
+    worst vertex through the centroid of the others, then expands,
+    contracts outside or inside, or shrinks every vertex halfway to the
+    best, with ties resolved as scipy does.  ``objective`` gets a copy of
+    each point and returns a float.
+    """
+    nfev = 0
+
+    def evaluate(x: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(np.copy(x))
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    x0 = np.array(start, dtype=np.float64)
+    dim = x0.size
+    sim = np.empty((dim + 1, dim))
+    sim[0] = x0
+    for k in range(dim):
+        sim[k + 1] = x0
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([evaluate(vertex) for vertex in sim], dtype=np.float64)
+    # scipy sorts twice here.  The second sort finds the values in order;
+    # both are kept because argsort is not guaranteed stable on ties.
+    sim, fsim = by_value(*by_value(sim, fsim))
+
+    iterations = 1
+    while iterations < _MAXITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            break
+        centroid = np.add.reduce(sim[:-1], 0) / dim
+        worst = sim[-1]
+        xr = 2 * centroid - worst
+        fxr = evaluate(xr)
+        if fxr < fsim[0]:
+            xe = 3 * centroid - 2 * worst
+            fxe = evaluate(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * centroid - 0.5 * worst
+                fxc = evaluate(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * centroid + 0.5 * worst
+                fxc = evaluate(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, dim + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+        iterations += 1
+        sim, fsim = by_value(sim, fsim)
+    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+
+
 def fit_piecewise_pareto(target: GroupedShares, n: int,
                          breakpoints: Tuple[float, float] = DEFAULT_BREAKPOINTS,
                          ) -> Tuple[RankedShares, PiecewiseLogLogFit]:
     """Fill in a full ranked distribution from grouped share targets.
 
     Log share is modeled as a continuous piecewise-linear function of log
-    rank with three segments; the three slopes are chosen by derivative-free
-    simplex search to minimize the total absolute deviation between the
-    fitted bracket sums and the target.  Restarts from a fixed ladder of
-    starting simplices keep the search deterministic; the best objective
-    wins, ties broken by restart order.
+    rank with three segments; the three slopes are chosen by the
+    derivative-free simplex search of :func:`minimize` to minimize the
+    total absolute deviation between the fitted bracket sums and the
+    target.  Restarts from a fixed ladder of starting simplices keep the
+    search deterministic; the best objective wins, ties broken by restart
+    order.
     """
     bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                              for b in target.brackets], dtype=np.intp)
@@ -248,9 +334,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
 
         best = None
         for start in _STARTS:
-            result = minimize(objective, start, method="Nelder-Mead",
-                              options=dict(xatol=1e-8, fatol=1e-12,
-                                           maxiter=3000))
+            result = minimize(objective, start)
             if best is None or result.fun < best.fun - 1e-15:
                 best = result
             if best.fun < 1e-3:

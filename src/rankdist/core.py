@@ -256,9 +256,12 @@ def as_brackets(value, name: str, *, partition: bool) -> Tuple[Bracket, ...]:
 # ---------------------------------------------------------------------------
 
 def _freeze(obj, **fields) -> None:
-    """Set validated fields on a frozen dataclass; arrays become read-only."""
+    """Set validated fields on a frozen dataclass.  An array field is a
+    read-only view: it shares memory with the array passed in (no copy is
+    made) and leaves that array writable."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
+            value = value.view()
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
 
@@ -444,7 +447,7 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
     ``(0, 0.01)`` at n = 10**6 maps to ranks (1, 100).  Boundaries must land
     on integer ranks for the given n.
     """
-    lo_pct, hi_pct = float(bracket[0]), float(bracket[1])
+    lo_pct, hi_pct = as_pair(bracket, "bracket")
     if not (0.0 <= lo_pct < hi_pct <= 100.0):
         raise RankModelError(f"invalid bracket ({lo_pct}, {hi_pct})")
     ranks = [pct * n / 100.0 for pct in (lo_pct, hi_pct)]

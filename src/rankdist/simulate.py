@@ -100,7 +100,7 @@ class SimulationPath:
 
     def __post_init__(self):
         sums = self.group_shares.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise RankModelError("recorded group shares must sum to 1")
 
 

@@ -29,6 +29,7 @@ from .core import (
     StabilityReport,
     TiedSharesError,
     UnstableError,
+    _as_float_vector,
     _freeze,
     check_zero_sum,
     prefix_sum,
@@ -64,7 +65,7 @@ class StableGaps:
 
 def kappa_from_alpha(alpha) -> np.ndarray:
     """Reversion rates kappa_k = -2 (alpha_1 + ... + alpha_k), k = 1..n-1."""
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _as_float_vector(alpha, "alpha")
     check_zero_sum(alpha)
     return -2.0 * prefix_sum(alpha)[:-1]
 
@@ -138,7 +139,7 @@ def check_stability(alpha) -> StabilityReport:
     a nonzero aggregate drift, and the argmax comparison is invariant to a
     common shift of all alpha.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _as_float_vector(alpha, "alpha")
     sums = prefix_sum(alpha)
     bad = sums[:-1] >= 0
     if not np.any(bad):
