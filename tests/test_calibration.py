@@ -198,7 +198,7 @@ class TestMinimizeMatchesScipy:
         assert ours.fun == ref.fun
         assert ours.nfev == ref.nfev
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from([10**4, 10**5]),
            breakpoints=st.sampled_from([(0.01, 10.0), (0.1, 1.0),
                                         (0.5, 40.0)]),
@@ -213,7 +213,7 @@ class TestMinimizeMatchesScipy:
         self.check(lambda s: float(np.abs(sums(s) - TARGET_2012.shares).sum()),
                    start)
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(start=START)
     @example(start=(0.0, 0.0, 0.0))
     def test_rounded_quadratic_with_ties(self, start):
@@ -223,7 +223,7 @@ class TestMinimizeMatchesScipy:
 
         self.check(objective, start)
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(start=START)
     @example(start=(0.0, 0.0, 0.0))
     def test_rosenbrock(self, start):
