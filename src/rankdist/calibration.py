@@ -26,6 +26,7 @@ from .core import (
     RankParameters,
     VolatilityTable,
     bracket_to_ranks,
+    group_shares,
     per_rank_values,
     prefix_sum,
 )
@@ -350,13 +351,12 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
         raise FitFailedError("fitted shares are not strictly descending "
                              "(a fitted slope is nonnegative)")
     # The reported error is that of the shares returned (and written).
-    cums = np.concatenate([[0.0], prefix_sum(shares)])
-    fit_error = float(np.abs(np.diff(cums[bounds]) - target_vec).sum())
+    fitted = group_shares(shares, target.brackets).shares
     fit = PiecewiseLogLogFit(
         breakpoints=(1, b1, b2, n),
         slopes=tuple(float(s) for s in slopes),
         intercept=float(np.log(shares[0])),
-        fit_error=fit_error)
+        fit_error=float(np.abs(fitted - target_vec).sum()))
     return RankedShares(n=n, shares=shares), fit
 
 

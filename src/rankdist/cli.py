@@ -11,8 +11,10 @@ Subcommands::
 The JSON config selects the population size, sigma variant, data files
 (falling back to packaged defaults), reporting brackets (by default the
 target's), and the simulation block; the domain types check each value.
-Command-line flags override config fields.  Exit codes: 0 success, 1 on any
-:class:`RankModelError`, usage errors included.
+Command-line flags override config fields.  Paths in the config resolve
+against the config file's directory, paths given as flags against the
+working directory.  Exit codes: 0 success, 1 on any :class:`RankModelError`,
+usage errors and unreadable or unwritable files included.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _load_config(args) -> RunConfig:
         path = Path(args.config)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise RankModelError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise RankModelError(f"config {path} is not valid JSON: {exc}"
@@ -100,15 +102,19 @@ def _load_config(args) -> RunConfig:
         _check_keys(raw, _CONFIG_KEYS, f"config {path}")
         _check_keys(raw.get("simulation", {}), _SIMULATION_KEYS,
                     f"config {path} simulation block")
+        # Paths in the config resolve against its directory; paths given
+        # as flags, against the working directory.
         for key in ("grouped_shares", "volatility", "tax", "out_dir"):
-            if raw.get(key) is not None and not isinstance(raw[key], str):
+            value = raw.get(key)
+            if value is None:
+                continue
+            if not isinstance(value, str):
                 raise RankModelError(f"{key} must be a path string, got "
-                                     f"{raw[key]!r}")
-    base = Path(args.config).parent if args.config else Path.cwd()
-
-    def resolve(name):
-        value = raw.get(name)
-        return None if value is None else (base / value)
+                                     f"{value!r}")
+            raw[key] = path.parent / value
+        scenario = raw.get("scenario")
+        if isinstance(scenario, str) and not scenario.isdecimal():
+            raw["scenario"] = str(path.parent / scenario)
 
     n = as_integer(raw.get("n", 1_000_000), "n", 2)
     sigma_variant = args.sigma or raw.get("sigma_variant", "low")
@@ -116,8 +122,8 @@ def _load_config(args) -> RunConfig:
                           "breakpoints")
 
     target = fileio.read_grouped_shares(
-        resolve("grouped_shares") or fileio.DATA_DIR / "wealth2012.csv")
-    vol_path = resolve("volatility")
+        raw.get("grouped_shares") or fileio.DATA_DIR / "wealth2012.csv")
+    vol_path = raw.get("volatility")
     volatility = (fileio.read_volatility_table(vol_path) if vol_path
                   else default_volatility_table())
     volatility.variant(sigma_variant)
@@ -125,12 +131,12 @@ def _load_config(args) -> RunConfig:
     scenario = args.scenario if args.scenario is not None \
         else raw.get("scenario", 1)
     if isinstance(scenario, str) and not scenario.isdecimal():
-        trend = fileio.read_trend(base / scenario)
+        trend = fileio.read_trend(scenario)
     else:
         if isinstance(scenario, str):
             scenario = int(scenario)
         trend = preset_scenario(as_integer(scenario, "scenario", 1))
-    tax_path = resolve("tax")
+    tax_path = raw.get("tax")
     tax = fileio.read_tax(tax_path) if tax_path else default_capital_tax()
 
     report_brackets = as_brackets(
@@ -209,34 +215,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     """Human-readable summary: fit diagnostics plus the scenario/tax grid."""
-    shares, fit, params = _calibrated(cfg)
+    # The grid needs only the parameters; the fitted shares (n-long) go now.
+    fit, params = _calibrated(cfg)[1:]
+    labels = [f"{lo:g}-{hi:g}%" for lo, hi in cfg.report_brackets]
 
-    def cell(scenario_id: int, taxed: bool):
+    def cell(scenario_id: int, taxed: bool) -> str:
         adjusted = apply_trend(params, preset_scenario(scenario_id))
         if taxed:
             adjusted = apply_tax(adjusted, cfg.tax)
         outcome = project(adjusted, cfg.report_brackets)
-        return scenario_id, taxed, outcome
-
-    jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
-    # One thread per core: more only leave their freed n-long arrays
-    # behind in glibc's per-thread arenas, raising the process's RSS.
-    with ThreadPoolExecutor(max_workers=min(len(jobs),
-                                            os.cpu_count() or 1)) as pool:
-        results = list(pool.map(lambda job: cell(*job), jobs))
-
-    lines = [f"n = {cfg.n}, sigma variant = {cfg.sigma_variant}",
-             f"fit: slopes = {tuple(round(s, 4) for s in fit.slopes)}, "
-             f"total absolute error = {fit.fit_error:.4f}", ""]
-    labels = [f"{lo:g}-{hi:g}%" for lo, hi in cfg.report_brackets]
-    for scenario_id, taxed, outcome in results:
         title = f"scenario {scenario_id}" + (" + capital tax" if taxed else "")
         row = "  ".join(f"{label} {100 * share:.1f}%"
                         for label, share in zip(labels,
                                                 outcome.grouped.shares))
         suffix = (f"  [divergent, m={outcome.report.m}]"
                   if outcome.kind == "divergent" else "")
-        lines.append(f"{title}: {row}{suffix}")
+        return f"{title}: {row}{suffix}"
+
+    jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
+    # One thread per core: more only leave their freed n-long arrays
+    # behind in glibc's per-thread arenas, raising the process's RSS.
+    with ThreadPoolExecutor(max_workers=min(len(jobs),
+                                            os.cpu_count() or 1)) as pool:
+        rows = list(pool.map(lambda job: cell(*job), jobs))
+
+    lines = [f"n = {cfg.n}, sigma variant = {cfg.sigma_variant}",
+             f"fit: slopes = {tuple(round(s, 4) for s in fit.slopes)}, "
+             f"total absolute error = {fit.fit_error:.4f}", "", *rows]
     fileio.write_lines(cfg.out_dir / "summary.txt", lines)
     print("\n".join(lines))
     return 0

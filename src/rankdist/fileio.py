@@ -51,7 +51,7 @@ def _read_table(path, make, *values: str):
     header = ("lo_pct", "hi_pct") + values
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     if not rows:
@@ -103,10 +103,14 @@ def read_tax(path) -> TaxSchedule:
 
 def _write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 with LF endings, creating the parent
-    directory; every file the package writes goes through here."""
+    directory; every file the package writes goes through here, and a
+    failed write raises :class:`RankModelError` naming the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise RankModelError(f"cannot write {path}: {exc}") from exc
 
 
 def write_lines(path, lines: Sequence[str]) -> None:

@@ -19,7 +19,6 @@ scheduled across threads.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,6 +29,7 @@ from .core import (
     RankedShares,
     RankModelError,
     RankParameters,
+    _freeze,
     as_brackets,
     as_finite,
     as_integer,
@@ -73,19 +73,18 @@ class SimConfig:
     drift_clip: Optional[float] = None
 
     def __post_init__(self):
-        set_field = functools.partial(object.__setattr__, self)
-        set_field("n", as_integer(self.n, "n", 2))
-        set_field("seed", as_integer(self.seed, "seed", 0, 2 ** 64))
+        _freeze(self, n=as_integer(self.n, "n", 2),
+                seed=as_integer(self.seed, "seed", 0, 2 ** 64))
         for name in ("dt", "horizon", "record_every", "drift_clip"):
             if getattr(self, name) is not None:
-                set_field(name, as_finite(getattr(self, name), name))
+                _freeze(self, **{name: as_finite(getattr(self, name), name)})
         if not (self.dt > 0):
             raise RankModelError("dt must be positive")
         if not (self.horizon >= self.record_every > 0):
             raise RankModelError("need horizon >= record_every > 0")
         if self.drift_clip is not None and self.drift_clip <= 0:
             raise RankModelError("drift_clip must be positive")
-        set_field("report_brackets", as_brackets(
+        _freeze(self, report_brackets=as_brackets(
             self.report_brackets, "report_brackets", partition=True))
 
 
@@ -143,14 +142,11 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
         return 0.0
 
     total = 0.0
-    count = 0
     y_last = 0.0
     run_min = 0.0
-    done = 0
-    chunk_index = 0
-    while done < steps:
-        m = min(_ORACLE_CHUNK_STEPS, steps - done)
-        rng = _philox(seed, chunk_index)
+    for chunk, start in enumerate(range(0, steps, _ORACLE_CHUNK_STEPS)):
+        m = min(_ORACLE_CHUNK_STEPS, steps - start)
+        rng = _philox(seed, chunk)
         z = rng.standard_normal(m)
         u = rng.random(m)
         incr = -kappa * dt + sigma * np.sqrt(dt) * z
@@ -162,15 +158,10 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
             d - np.sqrt(d * d - 2.0 * sigma * sigma * dt * np.log(u)))
         mins = np.minimum.accumulate(np.minimum(bridge_min, run_min))
         x = y - np.minimum(0.0, mins)
-        lo = max(skip - done, 0)
-        if lo < m:
-            total += float(x[lo:].sum())
-            count += m - lo
+        total += float(x[max(skip - start, 0):].sum())
         y_last = float(y[-1])
         run_min = float(mins[-1])
-        done += m
-        chunk_index += 1
-    return total / count
+    return total / (steps - skip)
 
 
 def simulate_ranked(params: RankParameters, config: SimConfig,

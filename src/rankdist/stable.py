@@ -161,7 +161,10 @@ def top_group_stable(params: RankParameters, m: int) -> RankedShares:
     averages).  Volatilities sigma_1..sigma_{m-1} are unchanged.  The full
     economy's limit has these shares on ranks 1..m and zero below.
     Raises :class:`NotDivergentError` if every proper prefix sum of alpha
-    through rank m is negative (for check_stability's m: stable input).
+    through rank m is negative (for check_stability's m: stable input), and
+    :class:`GroupUnstableError` if the group's own prefix sums are not all
+    negative or are too close to zero for finite gaps (as when a rounding
+    tie in the running averages picks m).
     """
     if not (1 <= m <= params.n):
         raise RankModelError(f"m={m} outside 1..{params.n}")
@@ -177,7 +180,14 @@ def top_group_stable(params: RankParameters, m: int) -> RankedShares:
             f"divergent top group of size {m} has no stable internal "
             f"distribution (prefix sum nonnegative at rank "
             f"{int(np.argmax(group_sums >= 0)) + 1})")
-    gaps = gaps_from_prefix_sums(group_sums, params.sigma[:m - 1])
+    try:
+        with np.errstate(over="ignore"):
+            gaps = gaps_from_prefix_sums(group_sums, params.sigma[:m - 1])
+    except RankModelError as exc:  # sums so near 0 that a gap overflows
+        raise GroupUnstableError(
+            f"divergent top group of size {m} has no stable internal "
+            f"distribution (its prefix sums are too close to zero for "
+            f"finite gaps)") from exc
     shares = shares_from_gaps(gaps).shares.copy()
     # The group holds all wealth in the limit, so its total must be exactly
     # 1 in float64, not 1 up to a rounding residual: fold the residual of

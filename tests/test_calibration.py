@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import minimize as scipy_minimize
 
 import rankdist as rd
 from rankdist import calibration
@@ -190,6 +189,9 @@ class TestMinimizeMatchesScipy:
 
     @staticmethod
     def check(objective, start):
+        # Imported here, so that without scipy only these tests fail.
+        from scipy.optimize import minimize as scipy_minimize
+
         ours = calibration.minimize(objective, start)
         ref = scipy_minimize(objective, start, method="Nelder-Mead",
                              options=dict(xatol=1e-8, fatol=1e-12,

@@ -361,3 +361,95 @@ class TestCommands:
                          "10,100,-0.005\n")
         assert main(["project", "--config", str(config),
                      "--scenario", str(trend)]) == 0
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends in exit 1 and an
+    ``error:`` line naming it, never a traceback."""
+
+    @staticmethod
+    def fails(argv, capsys, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n": 10000, "sigma_variant": "l\xe9w"}')
+        self.fails(["project", "--config", str(cfg)], capsys,
+                   f"cannot read config {cfg}")
+
+    def test_table_not_utf8(self, tmp_path, capsys):
+        table = tmp_path / "g.csv"
+        table.write_bytes(GROUPED_CSV.encode("ascii") + b"10,10,0.0\xe9\n")
+        with pytest.raises(rd.ParseError, match="cannot read file"):
+            fileio.read_grouped_shares(table)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10000, "grouped_shares": "g.csv"}))
+        self.fails(["project", "--config", str(cfg)], capsys,
+                   f"{table}:0: cannot read file")
+
+    def test_out_names_a_file(self, tmp_path, config, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.fails(["calibrate", "--config", str(config), "--out", str(out)],
+                   capsys, f"cannot write {out / 'alpha.csv'}")
+
+    def test_out_under_a_file(self, tmp_path, config, capsys):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out"
+        self.fails(["report", "--config", str(config), "--out", str(out)],
+                   capsys, f"cannot write {out / 'summary.txt'}")
+
+
+class TestPathRule:
+    """Paths in the config resolve against the config file's directory;
+    paths given as flags, against the working directory."""
+
+    TREND_CSV = "lo_pct,hi_pct,growth_per_year\n0,0.01,0.01\n10,100,-0.005\n"
+
+    @pytest.fixture
+    def dirs(self, tmp_path, monkeypatch):
+        """(config directory, working directory), the second one current."""
+        conf, work = tmp_path / "conf", tmp_path / "work"
+        conf.mkdir()
+        work.mkdir()
+        monkeypatch.chdir(work)
+        return conf, work
+
+    @staticmethod
+    def config(conf, **keys):
+        cfg = conf / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10000, **keys}))
+        return str(cfg)
+
+    def test_scenario_flag_reads_from_working_directory(self, dirs):
+        conf, work = dirs
+        (work / "t.csv").write_text(self.TREND_CSV)
+        assert main(["project", "--config", self.config(conf),
+                     "--scenario", "t.csv", "--out", "out"]) == 0
+        assert (work / "out" / "projection.csv").exists()
+
+    def test_config_scenario_reads_from_config_directory(self, dirs):
+        conf, work = dirs
+        (conf / "t.csv").write_text(self.TREND_CSV)
+        assert main(["project", "--config",
+                     self.config(conf, scenario="t.csv"),
+                     "--out", "out"]) == 0
+        assert (work / "out" / "projection.csv").exists()
+
+    def test_config_out_dir_is_in_config_directory(self, dirs):
+        conf, work = dirs
+        assert main(["project", "--config",
+                     self.config(conf, out_dir="res")]) == 0
+        assert (conf / "res" / "projection.csv").exists()
+        assert not (work / "res").exists()
+
+    def test_out_flag_is_in_working_directory(self, dirs):
+        conf, work = dirs
+        assert main(["project", "--config",
+                     self.config(conf, out_dir="res"), "--out", "res"]) == 0
+        assert (work / "res" / "projection.csv").exists()
+        assert not (conf / "res").exists()

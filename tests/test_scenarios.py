@@ -121,3 +121,14 @@ class TestProject:
         assert all(a <= b + 1e-12 for a, b in zip(tops, tops[1:]))
         assert tops[0] < tops[1]
         assert tops[-1] == pytest.approx(1.0)
+
+    def test_rounding_tie_in_running_averages_is_group_unstable(self):
+        # The exact running averages peak at rank 1, the rounded ones at 3;
+        # the re-centred group's prefix sums (-8.5e-314, -2.5e-313) are too
+        # small for finite gaps, so the group has no internal distribution.
+        alpha = np.array([6.787481940000002e-298, 6.787481940000001e-298,
+                          6.7874819400000025e-298])
+        params = rd.RankParameters(n=3, alpha=alpha, sigma=np.ones(2))
+        assert rd.check_stability(alpha).m == 3
+        with pytest.raises(rd.GroupUnstableError, match="finite gaps"):
+            rd.project(params, ((0, 100),))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rankdist as rd
+from rankdist import simulate
 
 
 class TestGapOracle:
@@ -37,12 +38,28 @@ class TestGapOracle:
         with pytest.raises(rd.RankModelError):
             rd.simulate_gap_oracle(**kwargs)
 
-    def test_deterministic_across_chunking(self):
-        kwargs = dict(kappa=0.2, sigma=0.3, dt=1e-3, horizon=200.0,
-                      burn_in=20.0, seed=42)
-        a = rd.simulate_gap_oracle(**kwargs)
-        b = rd.simulate_gap_oracle(**kwargs)
-        assert a == b
+    def test_deterministic_across_chunking(self, monkeypatch):
+        # 5,500 steps in chunks of 1,000, the last one partial; the burn-in
+        # of 2,345 steps ends inside the third chunk.
+        monkeypatch.setattr(simulate, "_ORACLE_CHUNK_STEPS", 1000)
+        kappa, sigma, dt, seed = 0.2, 0.3, 1e-3, 42
+        got = rd.simulate_gap_oracle(kappa=kappa, sigma=sigma, dt=dt,
+                                     horizon=5.5, burn_in=2.345, seed=seed)
+        # The same chain in one pass over the concatenated chunk draws.
+        z, u = [], []
+        for chunk, size in enumerate([1000] * 5 + [500]):
+            rng = simulate._philox(seed, chunk)
+            z.append(rng.standard_normal(size))
+            u.append(rng.random(size))
+        z, u = np.concatenate(z), np.concatenate(u)
+        y = np.cumsum(-kappa * dt + sigma * np.sqrt(dt) * z)
+        y_prev = np.concatenate([[0.0], y[:-1]])
+        d = y - y_prev
+        bridge_min = y_prev + 0.5 * (
+            d - np.sqrt(d * d - 2.0 * sigma * sigma * dt * np.log(u)))
+        x = y - np.minimum(0.0, np.minimum.accumulate(
+            np.minimum(bridge_min, 0.0)))
+        assert got == pytest.approx(x[2345:].mean(), rel=1e-12)
 
 
 def tiny_system(n=50, seed=5):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import (assume, example, given, reject, settings,
+                        strategies as st)
 from hypothesis.extra.numpy import arrays
 
 import rankdist as rd
@@ -239,12 +240,19 @@ class TestShiftAndTopGroupProperties:
         assume(not before.stable and not after.stable)
         assert after.m == before.m
 
+    #: n in 2..200, then alpha (length n) and sigma (length n - 1).
+    ALPHA_SIGMA = st.integers(2, 200).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=st.floats(-1, 1)),
+        arrays(np.float64, n - 1, elements=st.floats(0.05, 2.0))))
+
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 200))
-    def test_top_group_sums_to_exactly_one(self, data, n):
-        alpha = data.draw(arrays(np.float64, n, elements=st.floats(-1, 1)))
-        sigma = data.draw(arrays(np.float64, n - 1,
-                                 elements=st.floats(0.05, 2.0)))
+    @given(alpha_sigma=ALPHA_SIGMA)
+    @example(alpha_sigma=(np.array([6.787481940000002e-298,
+                                    6.787481940000001e-298,
+                                    6.7874819400000025e-298]), np.ones(2)))
+    def test_top_group_sums_to_exactly_one(self, alpha_sigma):
+        alpha, sigma = alpha_sigma
+        n = alpha.size
         report = rd.check_stability(alpha)
         assume(not report.stable)
         params = rd.RankParameters(n=n, alpha=alpha, sigma=sigma)
