@@ -187,12 +187,12 @@ def _project_outputs(cfg: RunConfig, params: RankParameters) -> int:
 
 
 def cmd_project(cfg: RunConfig) -> int:
-    _shares, _fit, params = _calibrated(cfg)
+    params = _calibrated(cfg)[2]
     return _project_outputs(cfg, apply_trend(params, cfg.trend))
 
 
 def cmd_tax(cfg: RunConfig) -> int:
-    _shares, _fit, params = _calibrated(cfg)
+    params = _calibrated(cfg)[2]
     adjusted = apply_tax(apply_trend(params, cfg.trend), cfg.tax)
     return _project_outputs(cfg, adjusted)
 

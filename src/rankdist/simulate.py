@@ -170,11 +170,21 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
 
     Each step assigns drift alpha_k and shock scale delta_k by the particle's
     current rank (stable sort, ties broken by particle id), then advances all
-    log-wealths by alpha_k*dt + delta_k*sqrt(dt)*Z.  Shares are recovered by
+    log-wealths by alpha_k*dt + delta_k*sqrt(dt)*Z, where Z is drawn from the
+    (seed, step) Philox stream in particle-id order.  Shares are recovered by
     exponentiating with max-subtraction, so only relative (economy-cancelled)
     growth matters.  Adjacent log gaps are accumulated every step; their time
     averages over the whole run are returned for comparison against the
     closed form.
+
+    The state is kept in rank order: the log-wealths as of the last ranking,
+    plus the particle id at each rank.  One step moves few particles far, so
+    the state stays nearly sorted and re-ranking it is an unstable argsort
+    of almost-ordered keys.  Without ties the ranking permutation is unique,
+    so this gives the same ranks, shocks and output bits as a stable sort of
+    the particle-indexed vector.  When the keys are not strictly descending
+    (an exact tie, or a NaN) the step falls back to a lexsort by (log-wealth
+    descending, particle id), which is the stable rule itself.
     """
     n = config.n
     if params.n != n or initial.n != n:
@@ -188,10 +198,12 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
 
     steps = int(round(config.horizon / config.dt))
     record_stride = max(int(round(config.record_every / config.dt)), 1)
-    sqrt_dt = np.sqrt(config.dt)
+    drift_step = alpha * config.dt
+    shock_step = delta * np.sqrt(config.dt)
     rank_bounds = [bracket_to_ranks(b, n) for b in config.report_brackets]
 
-    log_wealth = np.log(initial.shares).copy()
+    sorted_lw = np.log(initial.shares)
+    ids = np.arange(n)
     times = []
     recorded = []
     gap_sums = np.zeros(n - 1)
@@ -207,16 +219,20 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     # One sort per step: ranks are read off, the pre-update state is
     # recorded/accumulated, then the update is applied in rank order.
     for step in range(steps):
-        order = np.argsort(-log_wealth, kind="stable")
-        sorted_lw = log_wealth[order]
+        order = np.argsort(-sorted_lw)
+        keys = sorted_lw[order]
+        if not np.all(keys[:-1] > keys[1:]):
+            order = np.lexsort((ids, -sorted_lw))
+            keys = sorted_lw[order]
+        sorted_lw = keys
+        ids = ids[order]
         gap_sums += -np.diff(sorted_lw)
         if step > 0 and step % record_stride == 0:
             record(sorted_lw, step * config.dt)
         shocks = _philox(config.seed, step).standard_normal(n)
-        log_wealth[order] = sorted_lw + alpha * config.dt \
-            + delta * sqrt_dt * shocks[order]
+        sorted_lw = sorted_lw + drift_step + shock_step * shocks[ids]
 
-    final = RankedShares(n=n, shares=record(np.sort(log_wealth)[::-1],
+    final = RankedShares(n=n, shares=record(np.sort(sorted_lw)[::-1],
                                             steps * config.dt))
     return SimulationPath(times=np.asarray(times),
                           group_shares=np.asarray(recorded),

@@ -5,6 +5,7 @@ import pytest
 
 import rankdist as rd
 from rankdist import simulate
+from rankdist.core import bracket_to_ranks, prefix_sum
 
 
 class TestGapOracle:
@@ -12,6 +13,24 @@ class TestGapOracle:
         avg = rd.simulate_gap_oracle(kappa=0.1, sigma=0.2, dt=1e-3,
                                      horizon=5000.0, burn_in=500.0, seed=11)
         assert avg == pytest.approx(0.2, rel=0.05)
+
+    def test_exact_at_every_step_size(self):
+        # The within-step minimum is drawn from the Brownian-bridge law, so
+        # at the grid points the chain has the reflected process's exact
+        # law whatever dt is: the stationary mean sigma**2 / (2 kappa) holds
+        # with no step-size bias up to kappa * dt = 0.5.  At this horizon the
+        # relative error of one run has sd 0.49-0.67% (64 other seeds per
+        # dt), so a mean over 16 seeds has standard error 0.12-0.17%, and
+        # the 0.7% gate is 4 of them.  Taking the running minimum over the
+        # grid points alone reads -39% at dt = 0.1 and -83% at dt = 1.
+        kappa, sigma, horizon = 0.5, 0.4, 4e4
+        exact = sigma ** 2 / (2.0 * kappa)
+        for dt in (0.1, 0.25, 0.5, 1.0):
+            runs = [rd.simulate_gap_oracle(kappa, sigma, dt=dt,
+                                           horizon=horizon,
+                                           burn_in=0.05 * horizon, seed=seed)
+                    for seed in range(16)]
+            assert abs(np.mean(runs) / exact - 1.0) < 0.007, dt
 
     def test_zero_sigma_decays_to_boundary(self):
         avg = rd.simulate_gap_oracle(kappa=0.5, sigma=0.0, dt=1e-3,
@@ -166,6 +185,141 @@ class TestSimulateRanked:
         path = rd.simulate_ranked(params, config, shares)
         report = rd.gap_average_report(path, predicted)
         assert report["median"] < 0.10
+
+
+def particle_indexed_reference(params, config, initial):
+    """The ranked simulator as it was before its state was kept in rank
+    order: a stable argsort of the particle-indexed log-wealths every step,
+    then a scatter of the update back to particle order."""
+    n = config.n
+    alpha = params.alpha
+    if config.drift_clip is not None:
+        alpha = np.clip(alpha, -config.drift_clip, config.drift_clip)
+    delta = np.append(params.sigma, params.sigma[-1]) / np.sqrt(2.0)
+    steps = int(round(config.horizon / config.dt))
+    record_stride = max(int(round(config.record_every / config.dt)), 1)
+    sqrt_dt = np.sqrt(config.dt)
+    rank_bounds = [bracket_to_ranks(b, n) for b in config.report_brackets]
+    log_wealth = np.log(initial.shares).copy()
+    times, recorded = [], []
+    gap_sums = np.zeros(n - 1)
+
+    def record(sorted_lw, time):
+        weights = np.exp(sorted_lw - sorted_lw[0])
+        shares = weights / weights.sum()
+        cums = np.concatenate([[0.0], prefix_sum(shares)])
+        recorded.append([cums[hi] - cums[lo - 1] for lo, hi in rank_bounds])
+        times.append(time)
+        return shares
+
+    for step in range(steps):
+        order = np.argsort(-log_wealth, kind="stable")
+        sorted_lw = log_wealth[order]
+        gap_sums += -np.diff(sorted_lw)
+        if step > 0 and step % record_stride == 0:
+            record(sorted_lw, step * config.dt)
+        shocks = simulate._philox(config.seed, step).standard_normal(n)
+        log_wealth[order] = sorted_lw + alpha * config.dt \
+            + delta * sqrt_dt * shocks[order]
+
+    final = record(np.sort(log_wealth)[::-1], steps * config.dt)
+    return np.asarray(times), np.asarray(recorded), final, gap_sums / steps
+
+
+class TestRankOrderedStateMatchesReference:
+    """The rank-ordered simulator gives the reference's output bit for bit,
+    ties (broken by particle id) included."""
+
+    BRACKETS = ((0.0, 10.0), (10.0, 100.0))
+
+    def assert_same_bits(self, params, config, initial):
+        path = rd.simulate_ranked(params, config, initial)
+        times, group, final, gaps = particle_indexed_reference(
+            params, config, initial)
+        np.testing.assert_array_equal(path.times, times)
+        np.testing.assert_array_equal(path.group_shares, group)
+        np.testing.assert_array_equal(path.final_shares.shares, final)
+        np.testing.assert_array_equal(path.rank_gap_averages, gaps)
+
+    def count_lexsorts(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(keys):
+            calls.append(1)
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        return calls
+
+    @pytest.mark.parametrize("drift_clip", [None, 0.5],
+                             ids=["unclipped", "clipped"])
+    def test_small_system(self, drift_clip):
+        n = 200
+        params, shares = tiny_system(n)
+        assert np.abs(params.alpha).max() > 0.5  # the clip bites
+        config = rd.SimConfig(n=n, dt=0.05, horizon=20.0, seed=9,
+                              record_every=1.0, report_brackets=self.BRACKETS,
+                              drift_clip=drift_clip)
+        self.assert_same_bits(params, config, shares)
+
+    def test_uniform_start_ties_every_rank(self, monkeypatch):
+        n = 200
+        params, _shares = tiny_system(n)
+        uniform = rd.RankedShares(n=n, shares=np.full(n, 1.0 / n))
+        config = rd.SimConfig(n=n, dt=0.05, horizon=5.0, seed=4,
+                              report_brackets=self.BRACKETS)
+        calls = self.count_lexsorts(monkeypatch)
+        self.assert_same_bits(params, config, uniform)
+        assert len(calls) == 1  # step 0 only: normal shocks break the ties
+
+    def test_ties_recur_without_shocks(self, monkeypatch):
+        # Zero drift and zero shocks: the tied initial shares stay tied, so
+        # every step takes the fallback.
+        n = 60
+        raw = np.repeat([3.0, 2.0, 2.0, 1.0], n // 4)
+        shares = rd.RankedShares(n=n, shares=raw / raw.sum())
+        params = rd.RankParameters(n=n, alpha=np.zeros(n),
+                                   sigma=np.full(n - 1, 0.3))
+        monkeypatch.setattr(simulate, "_philox", lambda seed, step:
+                            ZeroShocks())
+        config = rd.SimConfig(n=n, dt=0.1, horizon=3.0, seed=1,
+                              report_brackets=self.BRACKETS)
+        calls = self.count_lexsorts(monkeypatch)
+        self.assert_same_bits(params, config, shares)
+        assert len(calls) == 30
+
+    def test_ties_recur_in_shuffled_order(self, monkeypatch):
+        # From a uniform start, drifts of +-0.25 by rank and shocks of -1, 0
+        # or +1 times an exact 0.25 keep every log-wealth on an exact
+        # lattice.  Ties form and break all run long, between particles
+        # whose ids are no longer in rank order, and which tied particle
+        # takes which rank's drift is the particle-id rule.
+        n = 80
+        uniform = rd.RankedShares(n=n, shares=np.full(n, 1.0 / n))
+        params = rd.RankParameters(n=n, alpha=np.resize([0.25, -0.25], n),
+                                   sigma=np.full(n - 1, 0.25 * np.sqrt(2.0)))
+        philox = simulate._philox
+        monkeypatch.setattr(simulate, "_philox", lambda seed, step:
+                            LatticeShocks(philox(seed, step)))
+        config = rd.SimConfig(n=n, dt=1.0, horizon=200.0, seed=6,
+                              report_brackets=self.BRACKETS)
+        calls = self.count_lexsorts(monkeypatch)
+        self.assert_same_bits(params, config, uniform)
+        assert len(calls) == 200  # 80 particles on a lattice: always ties
+
+
+class ZeroShocks:
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+
+class LatticeShocks:
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, n):
+        return self.rng.integers(-1, 2, n).astype(float)
 
 
 class TestGapAverageReport:
