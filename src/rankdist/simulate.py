@@ -178,13 +178,14 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     closed form.
 
     The state is kept in rank order: the log-wealths as of the last ranking,
-    plus the particle id at each rank.  One step moves few particles far, so
-    the state stays nearly sorted and re-ranking it is an unstable argsort
-    of almost-ordered keys.  Without ties the ranking permutation is unique,
-    so this gives the same ranks, shocks and output bits as a stable sort of
-    the particle-indexed vector.  When the keys are not strictly descending
-    (an exact tie, or a NaN) the step falls back to a lexsort by (log-wealth
-    descending, particle id), which is the stable rule itself.
+    plus the particle id at each rank.  One step moves most particles only a
+    few ranks, so the state stays nearly sorted and re-ranking it is an
+    unstable argsort of almost-ordered keys.  Without ties the ranking
+    permutation is unique, so this gives the same ranks, shocks and output
+    bits as a stable sort of the particle-indexed vector.  When the keys are
+    not strictly descending (an exact tie, or a NaN) the step falls back to a
+    lexsort by (log-wealth descending, particle id), which is the stable rule
+    itself.
     """
     n = config.n
     if params.n != n or initial.n != n:

@@ -226,6 +226,23 @@ def particle_indexed_reference(params, config, initial):
     return np.asarray(times), np.asarray(recorded), final, gap_sums / steps
 
 
+class ZeroShocks:
+    """Stands in for a Philox generator: every shock is zero."""
+
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+
+class LatticeShocks:
+    """Shocks of -1, 0 or +1, drawn from the wrapped generator."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, n):
+        return self.rng.integers(-1, 2, n).astype(float)
+
+
 class TestRankOrderedStateMatchesReference:
     """The rank-ordered simulator gives the reference's output bit for bit,
     ties (broken by particle id) included."""
@@ -307,19 +324,6 @@ class TestRankOrderedStateMatchesReference:
         calls = self.count_lexsorts(monkeypatch)
         self.assert_same_bits(params, config, uniform)
         assert len(calls) == 200  # 80 particles on a lattice: always ties
-
-
-class ZeroShocks:
-    def standard_normal(self, n):
-        return np.zeros(n)
-
-
-class LatticeShocks:
-    def __init__(self, rng):
-        self.rng = rng
-
-    def standard_normal(self, n):
-        return self.rng.integers(-1, 2, n).astype(float)
 
 
 class TestGapAverageReport:
