@@ -6,7 +6,7 @@ Subcommands::
     rankdist project   --config cfg.json [--scenario 1..4] [--sigma ...] [--out DIR]
     rankdist tax       --config cfg.json [--scenario 1..4] [--sigma ...] [--out DIR]
     rankdist simulate  --config cfg.json --seed N [--scenario ...] [--out DIR]
-    rankdist report    --config cfg.json [--out DIR]
+    rankdist report    --config cfg.json [--sigma low|high] [--out DIR]
 
 The JSON config selects the population size, sigma variant, data files
 (falling back to packaged defaults), reporting brackets (by default the
@@ -128,8 +128,9 @@ def _load_config(args) -> RunConfig:
                   else default_volatility_table())
     volatility.variant(sigma_variant)
 
-    scenario = args.scenario if args.scenario is not None \
-        else raw.get("scenario", 1)
+    scenario = getattr(args, "scenario", None)
+    if scenario is None:
+        scenario = raw.get("scenario", 1)
     if isinstance(scenario, str) and not scenario.isdecimal():
         trend = fileio.read_trend(scenario)
     else:
@@ -267,7 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--scenario", help="trend preset 1..4 or a trend CSV")
+        if name in ("project", "tax", "simulate"):
+            p.add_argument("--scenario",
+                           help="trend preset 1..4 or a trend CSV")
         p.add_argument("--sigma", choices=["low", "high"],
                        help="volatility variant")
         p.add_argument("--out", help="output directory")

@@ -270,16 +270,15 @@ def _cell_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _format_rows(block: np.ndarray) -> np.ndarray:
-    """The CSV rows of a (columns, rows) float64 block as UTF-8 bytes."""
-    columns, rows = block.shape
-    words = _cell_words(block.ravel()).reshape(4, columns, rows)
+def _format_rows(columns: Sequence[np.ndarray]) -> str:
+    """The CSV rows of equal-length float64 columns as one string."""
+    words = _cell_words(np.concatenate(columns)).reshape(4, len(columns), -1)
     words[3] |= _SEPARATOR
     words[3, -1] ^= _SEPARATOR ^ _NEWLINE
     cells = np.ascontiguousarray(words.transpose(2, 1, 0)).astype("<u8",
                                                                  copy=False)
     text = cells.view(np.uint8).ravel()
-    return text.compress(text != 0)
+    return str(text.compress(text != 0), "ascii")
 
 
 def _write_table(path, header: Sequence[str], *columns) -> None:
@@ -292,14 +291,10 @@ def _write_table(path, header: Sequence[str], *columns) -> None:
             f"{Path(path).name}: a table needs one 1-D column per header "
             f"field ({len(header)}), all of one length; got shapes "
             f"{[c.shape for c in columns]}")
-    table = np.stack(columns)
-    chunks = [np.frombuffer((",".join(header) + "\n").encode("utf-8"),
-                            dtype=np.uint8)]
-    for start in range(0, table.shape[1], _BLOCK_ROWS):
-        chunks.append(_format_rows(table[:, start:start + _BLOCK_ROWS]))
-    text = np.concatenate(chunks)
-    del chunks
-    _write_text(path, str(text, "utf-8"))
+    _write_text(path, "".join(
+        [",".join(header) + "\n"]
+        + [_format_rows([c[start:start + _BLOCK_ROWS] for c in columns])
+           for start in range(0, columns[0].size, _BLOCK_ROWS)]))
 
 
 def write_grouped_csv(path, grouped: GroupedShares) -> None:
@@ -308,11 +303,12 @@ def write_grouped_csv(path, grouped: GroupedShares) -> None:
 
 
 def write_alpha_csv(path, alpha: np.ndarray) -> None:
-    _write_table(path, ("rank", "alpha"), np.arange(1, alpha.size + 1), alpha)
+    _write_table(path, ("rank", "alpha"), np.arange(1.0, alpha.size + 1),
+                 alpha)
 
 
 def write_fit_csv(path, shares: np.ndarray) -> None:
-    _write_table(path, ("rank", "share"), np.arange(1, shares.size + 1),
+    _write_table(path, ("rank", "share"), np.arange(1.0, shares.size + 1),
                  shares)
 
 

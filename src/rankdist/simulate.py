@@ -75,17 +75,26 @@ class SimConfig:
     def __post_init__(self):
         _freeze(self, n=as_integer(self.n, "n", 2),
                 seed=as_integer(self.seed, "seed", 0, 2 ** 64))
-        for name in ("dt", "horizon", "record_every", "drift_clip"):
-            if getattr(self, name) is not None:
-                _freeze(self, **{name: as_finite(getattr(self, name), name)})
+        for name in ("dt", "horizon", "record_every"):
+            _freeze(self, **{name: as_finite(getattr(self, name), name)})
         if not (self.dt > 0):
             raise RankModelError("dt must be positive")
         if not (self.horizon >= self.record_every > 0):
             raise RankModelError("need horizon >= record_every > 0")
-        if self.drift_clip is not None and self.drift_clip <= 0:
-            raise RankModelError("drift_clip must be positive")
+        if not (np.isfinite(self.horizon / self.dt) and self.steps >= 1):
+            raise RankModelError("horizon / dt must round to a finite number "
+                                 "of steps, at least one")
+        if self.drift_clip is not None:
+            _freeze(self, drift_clip=as_finite(self.drift_clip, "drift_clip"))
+            if self.drift_clip <= 0:
+                raise RankModelError("drift_clip must be positive")
         _freeze(self, report_brackets=as_brackets(
             self.report_brackets, "report_brackets", partition=True))
+
+    @property
+    def steps(self) -> int:
+        """The number of Euler steps: horizon / dt, rounded."""
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -197,7 +206,7 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     # sigma_k**2 = delta_k**2 + delta_{k+1}**2 for locally constant delta.
     delta = np.append(params.sigma, params.sigma[-1]) / np.sqrt(2.0)
 
-    steps = int(round(config.horizon / config.dt))
+    steps = config.steps
     record_stride = max(int(round(config.record_every / config.dt)), 1)
     drift_step = alpha * config.dt
     shock_step = delta * np.sqrt(config.dt)

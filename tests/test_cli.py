@@ -242,6 +242,8 @@ class TestCommands:
          ["simulate", "--seed", "1"], "horizon must be a finite number"),
         ({"simulation": {"drift_clip": float("nan")}},
          ["simulate", "--seed", "1"], "drift_clip must be a finite number"),
+        ({"simulation": {"dt": None}}, ["simulate", "--seed", "1"],
+         "dt must be a finite number, got None"),
         ({"simulation": {"seed": 1.7}}, ["simulate"],
          "seed must be an integer"),
         ({"sigma_varient": "high"}, ["project"], "'sigma_varient'"),
@@ -270,7 +272,7 @@ class TestCommands:
          "grouped_shares must be a path string, got ['a']"),
         ({"out_dir": 5}, ["project"], "out_dir must be a path string, got 5"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
-            "record_every_bool", "horizon_inf", "drift_clip_nan",
+            "record_every_bool", "horizon_inf", "drift_clip_nan", "dt_null",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
             "simulation_not_object", "breakpoints_not_a_pair",
             "breakpoints_not_numbers", "reporting_bracket_not_a_number",
@@ -318,7 +320,12 @@ class TestCommands:
         (["report", "--sigma", "mid"], "invalid choice: 'mid'"),
         (["simulate", "--seed", "x"], "invalid int value: 'x'"),
         ([], "required: command"),
-    ], ids=["unknown_flag", "bad_sigma", "bad_seed", "no_command"])
+        (["calibrate", "--scenario", "2"],
+         "unrecognized arguments: --scenario 2"),
+        (["report", "--scenario", "3"],
+         "unrecognized arguments: --scenario 3"),
+    ], ids=["unknown_flag", "bad_sigma", "bad_seed", "no_command",
+            "calibrate_scenario", "report_scenario"])
     def test_usage_error_exits_1(self, capsys, argv, message):
         assert main(argv) == 1
         err = capsys.readouterr().err

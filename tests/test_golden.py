@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -78,9 +79,15 @@ def digests(case: str, work: Path) -> dict:
     out = work / "out"
     stdout = io.StringIO()
     # Relative paths keep ``simulate``'s "wrote out/path.csv" line the same
-    # in every working directory.
-    with contextlib.chdir(work), contextlib.redirect_stdout(stdout):
-        code = main(CASES[case] + ["--config", "config.json", "--out", "out"])
+    # in every working directory.  (contextlib.chdir is new in Python 3.11.)
+    previous = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(CASES[case] + ["--config", "config.json",
+                                       "--out", "out"])
+    finally:
+        os.chdir(previous)
     result = {"exit_code": code,
               "stdout": _sha256(stdout.getvalue().encode("utf-8"))}
     for path in sorted(out.iterdir()):

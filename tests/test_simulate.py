@@ -105,8 +105,18 @@ class TestSimulateRanked:
         ({"record_every": 0.0}, "need horizon >= record_every > 0"),
         ({"drift_clip": 0.0}, "drift_clip must be positive"),
         ({"drift_clip": -1.0}, "drift_clip must be positive"),
+        ({"dt": None}, "dt must be a finite number, got None"),
+        ({"horizon": None}, "horizon must be a finite number, got None"),
+        ({"record_every": None},
+         "record_every must be a finite number, got None"),
+        ({"dt": 1.0, "horizon": 0.4, "record_every": 0.4},
+         "horizon / dt must round to a finite number of steps"),
+        ({"dt": 5e-324, "horizon": 1e300},
+         "horizon / dt must round to a finite number of steps"),
     ], ids=["dt_zero", "dt_negative", "horizon_below_record_every",
-            "record_every_zero", "drift_clip_zero", "drift_clip_negative"])
+            "record_every_zero", "drift_clip_zero", "drift_clip_negative",
+            "dt_none", "horizon_none", "record_every_none", "zero_steps",
+            "infinite_steps"])
     def test_bad_config_rejected(self, override, message):
         with pytest.raises(rd.RankModelError, match=message):
             self.config(50, **override)
