@@ -284,7 +284,7 @@ def _format_rows(columns: Sequence[np.ndarray]) -> str:
 def _write_table(path, header: Sequence[str], *columns) -> None:
     """Write equal-length columns under a header, every cell as %.17g."""
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    if (len(columns) != len(header)
+    if (not columns or len(columns) != len(header)
             or any(c.shape != columns[0].shape or c.ndim != 1
                    for c in columns)):
         raise RankModelError(

@@ -54,7 +54,8 @@ class SimConfig:
     ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word,
     and ``report_brackets`` must partition [0, 100).  Construction converts
     each value and raises :class:`RankModelError` on a wrong type, a
-    non-finite value or one out of range.
+    non-finite value or one out of range; only ``drift_clip`` may be None,
+    and ``horizon / dt`` must round to at least one step (:attr:`steps`).
 
     ``drift_clip`` caps |alpha| (per year) before stepping.  Calibrated
     bottom-boundary growth rates reach thousands per year — they proxy for
