@@ -25,6 +25,9 @@ from .core import (
     RankModelError,
     RankParameters,
     VolatilityTable,
+    _as_float_array,
+    as_finite,
+    as_integer,
     bracket_to_ranks,
     group_shares,
     per_rank_values,
@@ -102,8 +105,8 @@ def volatility_from_components(investment_sd: float,
     Per bracket, sigma = sqrt(2 * (investment_sd**2 + labor_rel_sd**2)); the
     low variant sets labor_rel_sd = 0, giving sqrt(2) * investment_sd.
     """
-    investment_sd = float(investment_sd)
-    labor = np.asarray(labor_rel_sd, dtype=np.float64)
+    investment_sd = as_finite(investment_sd, "investment_sd")
+    labor = _as_float_array(labor_rel_sd, "labor_rel_sd")
     if investment_sd < 0 or np.any(labor < 0):
         raise NegativeInputError("standard deviations must be nonnegative")
     high = np.sqrt(2.0 * (investment_sd ** 2 + labor ** 2))
@@ -118,6 +121,7 @@ def expand_sigma(table: VolatilityTable, n: int, variant: str) -> np.ndarray:
     Gap k (between ranks k and k+1) takes the value of the bracket containing
     its upper rank k; the result is piecewise constant.
     """
+    n = as_integer(n, "n", 2)
     return per_rank_values(table.brackets, table.variant(variant), n)[:n - 1]
 
 
@@ -310,6 +314,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
     search deterministic; the best objective wins, ties broken by restart
     order.
     """
+    n = as_integer(n, "n", 2)
     bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                              for b in target.brackets], dtype=np.intp)
     # A descending fit requires the target's average per-household share to
@@ -357,7 +362,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
         slopes=tuple(float(s) for s in slopes),
         intercept=float(np.log(shares[0])),
         fit_error=float(np.abs(fitted - target_vec).sum()))
-    return RankedShares(n=n, shares=shares), fit
+    return RankedShares(shares=shares), fit
 
 
 def calibrate(target: GroupedShares, table: VolatilityTable, variant: str,

@@ -270,14 +270,15 @@ def _freeze(obj, **fields) -> None:
 class RankedShares:
     """Full descending vector of wealth shares by rank, summing to one."""
 
-    n: int
     shares: np.ndarray
 
     def __post_init__(self):
-        shares = _as_float_vector(self.shares, "shares")
-        if self.n != shares.size:
-            raise RankModelError("n does not match length of shares")
-        _freeze(self, shares=shares)
+        _freeze(self, shares=_as_float_vector(self.shares, "shares"))
+
+    @property
+    def n(self) -> int:
+        """The number of ranks, the length of ``shares``."""
+        return self.shares.size
 
 
 @dataclass(frozen=True)
@@ -291,20 +292,22 @@ class RankParameters:
     parameter sets intentionally carry nonzero aggregate drift.
     """
 
-    n: int
     alpha: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
         alpha = _as_float_vector(self.alpha, "alpha")
         sigma = _as_float_vector(self.sigma, "sigma")
-        if self.n != alpha.size:
-            raise RankModelError("n does not match length of alpha")
-        if sigma.size != self.n - 1:
+        if sigma.size != alpha.size - 1:
             raise RankModelError("sigma must have length n - 1")
         if np.any(sigma <= 0):
             raise NonPositiveSigmaError("all sigma values must be positive")
         _freeze(self, alpha=alpha, sigma=sigma)
+
+    @property
+    def n(self) -> int:
+        """The number of ranks, the length of ``alpha``."""
+        return self.alpha.size
 
     @property
     def kappa(self) -> np.ndarray:
@@ -431,14 +434,14 @@ def make_ranked_shares(values) -> RankedShares:
     if abs(total - 1.0) > 1e-6:
         raise BadNormalizationError(f"shares sum to {total:.8f}; deviation "
                                     f"from 1 exceeds 1e-6")
-    return RankedShares(n=arr.size, shares=arr / total)
+    return RankedShares(shares=arr / total)
 
 
 def make_rank_parameters(alpha, sigma) -> RankParameters:
     """Construct RankParameters enforcing the sum-zero convention on alpha."""
     alpha = _as_float_vector(alpha, "alpha")
     check_zero_sum(alpha)
-    return RankParameters(n=alpha.size, alpha=alpha, sigma=np.asarray(sigma))
+    return RankParameters(alpha=alpha, sigma=sigma)
 
 
 def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
@@ -473,9 +476,9 @@ def per_rank_values(brackets: Sequence[Bracket], values,
 def group_shares(shares, brackets: Sequence[Bracket]) -> GroupedShares:
     """Aggregate ranked shares into bracket-level group sums.
 
-    ``shares`` may be a :class:`RankedShares` or a plain descending vector
-    (the projection engine produces limit distributions containing exact
-    zeros, which RankedShares would reject).
+    ``shares`` may be a :class:`RankedShares` or a plain descending vector,
+    such as the projection engine's divergent limit, which is exactly zero
+    below its top group.
     """
     vec = shares.shares if isinstance(shares, RankedShares) else \
         np.asarray(shares, dtype=np.float64)

@@ -57,9 +57,10 @@ __all__ = [
 class ProjectionOutcome:
     """Result of a projection.
 
-    ``shares`` is the full limit share vector: in the divergent case ranks
-    beyond m are exactly zero and the top-m shares sum to one, which is why
-    this is a plain array rather than a strictly-positive RankedShares.
+    ``shares`` is the full limit share vector, a plain array: in the
+    divergent case ranks beyond m are exactly zero and the top-m shares sum
+    to one.  (:func:`make_ranked_shares` would reject those zeros; a
+    RankedShares itself only checks that its values are finite.)
     """
 
     shares: np.ndarray
@@ -81,8 +82,7 @@ def apply_trend(params: RankParameters, trend: TrendSpec) -> RankParameters:
     aggregate drift.
     """
     adjustment = per_rank_values(trend.brackets, trend.growth, params.n)
-    return RankParameters(n=params.n, alpha=params.alpha + adjustment,
-                          sigma=params.sigma)
+    return RankParameters(alpha=params.alpha + adjustment, sigma=params.sigma)
 
 
 def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
@@ -92,8 +92,7 @@ def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
     discarded (no redistribution).  Volatilities are unchanged.
     """
     adjustment = per_rank_values(tax.brackets, tax.rate, params.n)
-    return RankParameters(n=params.n, alpha=params.alpha - adjustment,
-                          sigma=params.sigma)
+    return RankParameters(alpha=params.alpha - adjustment, sigma=params.sigma)
 
 
 def recenter(alpha) -> np.ndarray:

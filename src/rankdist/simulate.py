@@ -51,6 +51,11 @@ __all__ = [
 class SimConfig:
     """Settings for the ranked-particle simulator, passed by keyword.
 
+    ``n`` is the one size stated rather than read off an array: a config
+    holds none, so :func:`simulate_ranked` checks it against its inputs.
+    The benchmark (``perfbench/run.py`` and its tracer) builds configs with
+    ``n=`` and reads ``config.n``, so it stays a field.
+
     ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word,
     and ``report_brackets`` must partition [0, 100).  Construction converts
     each value and raises :class:`RankModelError` on a wrong type, a
@@ -82,7 +87,7 @@ class SimConfig:
             raise RankModelError("dt must be positive")
         if not (self.horizon >= self.record_every > 0):
             raise RankModelError("need horizon >= record_every > 0")
-        if not (np.isfinite(self.horizon / self.dt) and self.steps >= 1):
+        if self.steps < 1:
             raise RankModelError("horizon / dt must round to a finite number "
                                  "of steps, at least one")
         if self.drift_clip is not None:
@@ -95,7 +100,18 @@ class SimConfig:
     @property
     def steps(self) -> int:
         """The number of Euler steps: horizon / dt, rounded."""
-        return int(round(self.horizon / self.dt))
+        return _step_count(self.horizon, self.dt, "horizon")
+
+
+def _step_count(span: float, dt: float, name: str) -> int:
+    """``span / dt`` rounded to a whole number of steps of a positive ``dt``
+    (the one rounding rule of both simulators); a quotient too large for a
+    float raises :class:`RankModelError`."""
+    steps = span / dt
+    if not np.isfinite(steps):
+        raise RankModelError(f"{name} / dt must round to a finite number of "
+                             f"steps, got {span!r} / {dt!r}")
+    return int(round(steps))
 
 
 @dataclass(frozen=True)
@@ -134,7 +150,9 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     where the within-step minimum is drawn exactly from the Brownian-bridge
     law given the step endpoints.  Returns the mean of X after ``burn_in``
     years; the continuous-time limit is sigma**2 / (2 kappa).  Non-finite
-    arguments and a seed outside [0, 2**64) raise :class:`RankModelError`.
+    arguments, a ``dt`` that is not positive, a negative ``burn_in``, a
+    step count too large for a float and a seed outside [0, 2**64) raise
+    :class:`RankModelError`.
     """
     for name, value in dict(kappa=kappa, sigma=sigma, dt=dt, horizon=horizon,
                             burn_in=burn_in).items():
@@ -144,8 +162,12 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
         raise NonPositiveKappaError("kappa must be positive")
     if sigma < 0:
         raise RankModelError("sigma must be nonnegative")
-    steps = int(round(horizon / dt))
-    skip = int(round(burn_in / dt))
+    if dt <= 0:
+        raise RankModelError("dt must be positive")
+    if burn_in < 0:
+        raise RankModelError("burn_in must be nonnegative")
+    steps = _step_count(horizon, dt, "horizon")
+    skip = _step_count(burn_in, dt, "burn_in")
     if steps <= skip:
         raise RankModelError("horizon must exceed burn_in")
     if sigma == 0.0:
@@ -208,7 +230,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     delta = np.append(params.sigma, params.sigma[-1]) / np.sqrt(2.0)
 
     steps = config.steps
-    record_stride = max(int(round(config.record_every / config.dt)), 1)
+    record_stride = max(_step_count(config.record_every, config.dt,
+                                    "record_every"), 1)
     drift_step = alpha * config.dt
     shock_step = delta * np.sqrt(config.dt)
     rank_bounds = [bracket_to_ranks(b, n) for b in config.report_brackets]
@@ -243,8 +266,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
         shocks = _philox(config.seed, step).standard_normal(n)
         sorted_lw = sorted_lw + drift_step + shock_step * shocks[ids]
 
-    final = RankedShares(n=n, shares=record(np.sort(sorted_lw)[::-1],
-                                            steps * config.dt))
+    final = RankedShares(shares=record(np.sort(sorted_lw)[::-1],
+                                       steps * config.dt))
     return SimulationPath(times=np.asarray(times),
                           group_shares=np.asarray(recorded),
                           final_shares=final,

@@ -31,6 +31,7 @@ from .core import (
     UnstableError,
     _as_float_vector,
     _freeze,
+    as_integer,
     check_zero_sum,
     prefix_sum,
 )
@@ -51,16 +52,18 @@ __all__ = [
 class StableGaps:
     """Expected adjacent log-share gaps of a stable configuration."""
 
-    n: int
     gaps: np.ndarray
 
     def __post_init__(self):
         gaps = np.asarray(self.gaps, dtype=np.float64)
-        if gaps.size != self.n - 1:
-            raise RankModelError("gaps must have length n - 1")
         if np.any(~np.isfinite(gaps)) or np.any(gaps < 0):
             raise RankModelError("gaps must be finite and nonnegative")
         _freeze(self, gaps=gaps)
+
+    @property
+    def n(self) -> int:
+        """The number of ranks, one more than the number of gaps."""
+        return self.gaps.size + 1
 
 
 def kappa_from_alpha(alpha) -> np.ndarray:
@@ -83,7 +86,7 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size != sums.size:
         raise RankModelError("sigma and prefix sums differ in length")
-    return StableGaps(n=sums.size + 1, gaps=sigma ** 2 / (-4.0 * sums))
+    return StableGaps(gaps=sigma ** 2 / (-4.0 * sums))
 
 
 def stable_gaps(params: RankParameters) -> StableGaps:
@@ -95,8 +98,8 @@ def stable_gaps(params: RankParameters) -> StableGaps:
 def shares_from_gaps(gaps: StableGaps) -> RankedShares:
     """Exponentiate cumulative gaps into a normalized descending share vector."""
     logs = np.concatenate([[0.0], -prefix_sum(gaps.gaps)])
-    weights = np.exp(logs - logs.max())
-    return RankedShares(n=gaps.n, shares=weights / weights.sum())
+    weights = np.exp(logs)
+    return RankedShares(shares=weights / weights.sum())
 
 
 def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
@@ -123,7 +126,7 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     alpha[0] = sums[0]
     alpha[1:n - 1] = np.diff(sums)
     alpha[n - 1] = -sums[n - 2]
-    return RankParameters(n=n, alpha=alpha, sigma=sigma)
+    return RankParameters(alpha=alpha, sigma=sigma)
 
 
 def check_stability(alpha) -> StabilityReport:
@@ -166,8 +169,10 @@ def top_group_stable(params: RankParameters, m: int) -> RankedShares:
     negative or are too close to zero for finite gaps (as when a rounding
     tie in the running averages picks m).
     """
-    if not (1 <= m <= params.n):
-        raise RankModelError(f"m={m} outside 1..{params.n}")
+    try:
+        m = as_integer(m, "m", 1, params.n + 1)
+    except RankModelError:
+        raise RankModelError(f"m={m!r} outside 1..{params.n}") from None
     through = min(m, params.n - 1)
     if not np.any(prefix_sum(params.alpha[:through]) >= 0):
         raise NotDivergentError(
@@ -197,4 +202,4 @@ def top_group_stable(params: RankParameters, m: int) -> RankedShares:
         if residual == 0.0:
             break
         shares[0] += residual
-    return RankedShares(n=m, shares=shares)
+    return RankedShares(shares=shares)

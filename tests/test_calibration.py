@@ -54,6 +54,15 @@ class TestVolatilityFromComponents:
         with pytest.raises(rd.RankModelError):
             rd.volatility_from_components(0.2, labor)
 
+    @pytest.mark.parametrize("investment, labor, message", [
+        ("x", np.zeros(5), "investment_sd must be a finite number"),
+        (True, np.zeros(5), "investment_sd must be a finite number"),
+        (0.2, ["a"] * 5, "labor_rel_sd must hold numbers"),
+    ], ids=["investment_string", "investment_bool", "labor_strings"])
+    def test_non_numbers_rejected(self, investment, labor, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            rd.volatility_from_components(investment, labor)
+
 
 class TestExpandSigma:
     def test_low_variant_constant(self):
@@ -72,6 +81,16 @@ class TestExpandSigma:
         sigma = rd.expand_sigma(rd.default_volatility_table(), n, "high")
         assert sigma[99] == 0.286    # gap 100: upper rank 100 = top 10%
         assert sigma[100] == 0.294   # gap 101 enters the next bracket
+
+
+    def test_integral_float_size_accepted(self):
+        table = rd.default_volatility_table()
+        np.testing.assert_array_equal(rd.expand_sigma(table, 1e4, "low"),
+                                      rd.expand_sigma(table, 10**4, "low"))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(rd.RankModelError, match="n must be an integer"):
+            rd.expand_sigma(rd.default_volatility_table(), -10, "low")
 
 
 class TestFitPiecewisePareto:
@@ -237,6 +256,16 @@ class TestMinimizeMatchesScipy:
 
 
 class TestCalibrate:
+    def test_integral_float_size_accepted(self):
+        table = rd.default_volatility_table()
+        params = rd.calibrate(TARGET_2012, table, "low", n=10000.0)
+        expected = rd.calibrate(TARGET_2012, table, "low", n=10**4)
+        np.testing.assert_array_equal(params.alpha, expected.alpha)
+
+    def test_string_size_rejected(self):
+        with pytest.raises(rd.RankModelError, match="n must be an integer"):
+            rd.fit_piecewise_pareto(TARGET_2012, "10000")
+
     def test_stable_by_construction(self):
         params = rd.calibrate(TARGET_2012, rd.default_volatility_table(),
                               "low", 10**4)

@@ -83,8 +83,8 @@ class TestFrozenFieldsLeaveCallerArraysAlone:
         (2, lambda a: rd.VolatilityTable(brackets=((0, 50), (50, 100)),
                                          sigma_low=a, sigma_high=a),
          "sigma_high"),
-        (4, lambda a: rd.RankedShares(n=4, shares=a), "shares"),
-        (4, lambda a: rd.RankParameters(n=4, alpha=a, sigma=np.ones(3)),
+        (4, lambda a: rd.RankedShares(shares=a), "shares"),
+        (4, lambda a: rd.RankParameters(alpha=a, sigma=np.ones(3)),
          "alpha"),
     ], ids=["trend", "tax", "grouped", "volatility", "ranked", "params"])
     def test_caller_array_stays_writable(self, size, make, field):
@@ -310,9 +310,9 @@ class TestVectorsOfNonNumbers:
     @pytest.mark.parametrize("values", NOT_NUMBERS.values(),
                              ids=NOT_NUMBERS.keys())
     @pytest.mark.parametrize("field, make", [
-        ("shares", lambda v: rd.RankedShares(n=2, shares=v)),
-        ("alpha", lambda v: rd.RankParameters(n=2, alpha=v, sigma=[1.0])),
-        ("sigma", lambda v: rd.RankParameters(n=3, alpha=[0.1, 0.0, -0.1],
+        ("shares", lambda v: rd.RankedShares(shares=v)),
+        ("alpha", lambda v: rd.RankParameters(alpha=v, sigma=[1.0])),
+        ("sigma", lambda v: rd.RankParameters(alpha=[0.1, 0.0, -0.1],
                                               sigma=v)),
     ], ids=["ranked_shares", "alpha", "sigma"])
     def test_rejected_naming_the_field(self, field, make, values):

@@ -128,7 +128,7 @@ class TestProject:
         # small for finite gaps, so the group has no internal distribution.
         alpha = np.array([6.787481940000002e-298, 6.787481940000001e-298,
                           6.7874819400000025e-298])
-        params = rd.RankParameters(n=3, alpha=alpha, sigma=np.ones(2))
+        params = rd.RankParameters(alpha=alpha, sigma=np.ones(2))
         assert rd.check_stability(alpha).m == 3
         with pytest.raises(rd.GroupUnstableError, match="finite gaps"):
             rd.project(params, ((0, 100),))

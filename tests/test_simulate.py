@@ -47,10 +47,12 @@ class TestGapOracle:
         {"sigma": float("nan")}, {"dt": float("inf")},
         {"horizon": float("nan")}, {"burn_in": -float("inf")},
         {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5},
-        {"sigma": -0.2}, {"burn_in": 10.0},
+        {"sigma": -0.2}, {"burn_in": 10.0}, {"dt": 0.0}, {"burn_in": -5.0},
+        {"dt": 5e-324, "horizon": 1e300},
     ], ids=["kappa_nan", "kappa_inf", "sigma_nan", "dt_inf", "horizon_nan",
             "burn_in_neg_inf", "seed_negative", "seed_2_64",
-            "seed_not_integral", "sigma_negative", "burn_in_past_horizon"])
+            "seed_not_integral", "sigma_negative", "burn_in_past_horizon",
+            "dt_zero", "burn_in_negative", "infinite_steps"])
     def test_bad_argument_rejected(self, override):
         kwargs = {**dict(kappa=0.5, sigma=0.2, dt=1e-3, horizon=10.0,
                          burn_in=1.0, seed=1), **override}
@@ -124,7 +126,7 @@ class TestSimulateRanked:
     def test_no_dynamics_constant_shares(self):
         n = 50
         _params, shares = tiny_system(n)
-        frozen = rd.RankParameters(n=n, alpha=np.zeros(n),
+        frozen = rd.RankParameters(alpha=np.zeros(n),
                                    sigma=np.full(n - 1, 1e-9))
         path = rd.simulate_ranked(frozen, self.config(n), shares)
         expected = rd.group_shares(shares, self.BRACKETS).shares
@@ -157,7 +159,7 @@ class TestSimulateRanked:
     def test_uniform_drift_invariance(self):
         n = 50
         params, shares = tiny_system(n)
-        shifted = rd.RankParameters(n=n, alpha=params.alpha + 0.5,
+        shifted = rd.RankParameters(alpha=params.alpha + 0.5,
                                     sigma=params.sigma)
         p1 = rd.simulate_ranked(params, self.config(n), shares)
         p2 = rd.simulate_ranked(shifted, self.config(n), shares)
@@ -168,7 +170,7 @@ class TestSimulateRanked:
         n = 50
         params, shares = tiny_system(n)
         spiky = rd.RankParameters(
-            n=n, alpha=np.concatenate([params.alpha[:-1], [1e6]]),
+            alpha=np.concatenate([params.alpha[:-1], [1e6]]),
             sigma=params.sigma)
         path = rd.simulate_ranked(spiky, self.config(n, drift_clip=1.0),
                                   shares)
@@ -185,7 +187,7 @@ class TestSimulateRanked:
         n = 10
         alpha = np.full(n, -0.1)
         alpha[-1] = 0.1 * (n - 1)
-        params = rd.RankParameters(n=n, alpha=alpha,
+        params = rd.RankParameters(alpha=alpha,
                                    sigma=np.full(n - 1, 0.3))
         predicted = rd.stable_gaps(params)
         shares = rd.shares_from_gaps(predicted)
@@ -293,7 +295,7 @@ class TestRankOrderedStateMatchesReference:
     def test_uniform_start_ties_every_rank(self, monkeypatch):
         n = 200
         params, _shares = tiny_system(n)
-        uniform = rd.RankedShares(n=n, shares=np.full(n, 1.0 / n))
+        uniform = rd.RankedShares(shares=np.full(n, 1.0 / n))
         config = rd.SimConfig(n=n, dt=0.05, horizon=5.0, seed=4,
                               report_brackets=self.BRACKETS)
         calls = self.count_lexsorts(monkeypatch)
@@ -305,8 +307,8 @@ class TestRankOrderedStateMatchesReference:
         # every step takes the fallback.
         n = 60
         raw = np.repeat([3.0, 2.0, 2.0, 1.0], n // 4)
-        shares = rd.RankedShares(n=n, shares=raw / raw.sum())
-        params = rd.RankParameters(n=n, alpha=np.zeros(n),
+        shares = rd.RankedShares(shares=raw / raw.sum())
+        params = rd.RankParameters(alpha=np.zeros(n),
                                    sigma=np.full(n - 1, 0.3))
         monkeypatch.setattr(simulate, "_philox", lambda seed, step:
                             ZeroShocks())
@@ -323,8 +325,8 @@ class TestRankOrderedStateMatchesReference:
         # whose ids are no longer in rank order, and which tied particle
         # takes which rank's drift is the particle-id rule.
         n = 80
-        uniform = rd.RankedShares(n=n, shares=np.full(n, 1.0 / n))
-        params = rd.RankParameters(n=n, alpha=np.resize([0.25, -0.25], n),
+        uniform = rd.RankedShares(shares=np.full(n, 1.0 / n))
+        params = rd.RankParameters(alpha=np.resize([0.25, -0.25], n),
                                    sigma=np.full(n - 1, 0.25 * np.sqrt(2.0)))
         philox = simulate._philox
         monkeypatch.setattr(simulate, "_philox", lambda seed, step:
@@ -338,11 +340,11 @@ class TestRankOrderedStateMatchesReference:
 
 class TestGapAverageReport:
     def test_exact_match_zero_errors(self):
-        predicted = rd.StableGaps(n=4, gaps=np.array([0.5, 0.25, 0.125]))
+        predicted = rd.StableGaps(gaps=np.array([0.5, 0.25, 0.125]))
         path = rd.SimulationPath(
             times=np.array([1.0]),
             group_shares=np.array([[1.0]]),
-            final_shares=rd.RankedShares(n=4, shares=np.full(4, 0.25)),
+            final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
             rank_gap_averages=predicted.gaps.copy())
         report = rd.gap_average_report(path, predicted)
         assert report["max"] == 0.0
@@ -355,15 +357,15 @@ class TestGapAverageReport:
             rd.SimulationPath(
                 times=np.array([1.0]),
                 group_shares=np.array([row]),
-                final_shares=rd.RankedShares(n=4, shares=np.full(4, 0.25)),
+                final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
                 rank_gap_averages=np.full(3, 0.5))
 
     def test_dimension_mismatch(self):
-        predicted = rd.StableGaps(n=3, gaps=np.array([0.5, 0.25]))
+        predicted = rd.StableGaps(gaps=np.array([0.5, 0.25]))
         path = rd.SimulationPath(
             times=np.array([1.0]),
             group_shares=np.array([[1.0]]),
-            final_shares=rd.RankedShares(n=4, shares=np.full(4, 0.25)),
+            final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
             rank_gap_averages=np.array([0.5, 0.25, 0.1]))
         with pytest.raises(rd.RankModelError):
             rd.gap_average_report(path, predicted)

@@ -54,20 +54,19 @@ class TestStableGaps:
         np.testing.assert_allclose(g.gaps * k, g.gaps[0], rtol=1e-12)
 
     def test_unstable_first_rank(self):
-        p = rd.RankParameters(n=3, alpha=np.array([0.01, -0.02, 0.01]),
+        p = rd.RankParameters(alpha=np.array([0.01, -0.02, 0.01]),
                               sigma=np.array([0.3, 0.3]))
         with pytest.raises(rd.UnstableError) as info:
             rd.stable_gaps(p)
         assert info.value.rank == 1
 
     @pytest.mark.parametrize("gaps, message", [
-        ([0.1], "length n - 1"),
         ([0.1, -0.1], "finite and nonnegative"),
         ([0.1, np.inf], "finite and nonnegative"),
-    ], ids=["short", "negative", "inf"])
+    ], ids=["negative", "inf"])
     def test_bad_gaps_rejected(self, gaps, message):
         with pytest.raises(rd.RankModelError, match=message):
-            rd.StableGaps(n=3, gaps=np.array(gaps))
+            rd.StableGaps(gaps=np.array(gaps))
 
     def test_prefix_sums_and_sigma_differ_in_length(self):
         with pytest.raises(rd.RankModelError, match="differ in length"):
@@ -84,17 +83,17 @@ class TestStableGaps:
 
 class TestSharesFromGaps:
     def test_powers_of_two(self):
-        g = rd.StableGaps(n=3, gaps=np.array([np.log(2), np.log(2)]))
+        g = rd.StableGaps(gaps=np.array([np.log(2), np.log(2)]))
         np.testing.assert_allclose(rd.shares_from_gaps(g).shares,
                                    [4 / 7, 2 / 7, 1 / 7])
 
     def test_zero_gaps_uniform(self):
-        g = rd.StableGaps(n=4, gaps=np.zeros(3))
+        g = rd.StableGaps(gaps=np.zeros(3))
         np.testing.assert_allclose(rd.shares_from_gaps(g).shares,
                                    np.full(4, 0.25))
 
     def test_two_rank_logistic(self):
-        g = rd.StableGaps(n=2, gaps=np.array([0.45]))
+        g = rd.StableGaps(gaps=np.array([0.45]))
         np.testing.assert_allclose(rd.shares_from_gaps(g).shares,
                                    [0.6106, 0.3894], atol=5e-5)
 
@@ -126,7 +125,7 @@ class TestAlphaFromShares:
         assert np.all(np.abs(np.diff(interior)) < np.abs(interior[:-1]) * 0.1)
 
     def test_tied_shares_rejected(self):
-        s = rd.RankedShares(n=3, shares=np.array([0.4, 0.4, 0.2]))
+        s = rd.RankedShares(shares=np.array([0.4, 0.4, 0.2]))
         with pytest.raises(rd.TiedSharesError) as info:
             rd.alpha_from_shares(s, np.array([0.3, 0.3]))
         assert info.value.rank == 1
@@ -178,7 +177,7 @@ class TestTopGroupStable:
     def test_two_household_divergent_group(self):
         # A_1 = 0.01, A_2 = 0.02 -> divergent subset of size 2; relative to
         # the group the rates become (-0.01, +0.01), one gap of 2.25.
-        p = rd.RankParameters(n=4, alpha=np.array([0.01, 0.03, -0.02, -0.02]),
+        p = rd.RankParameters(alpha=np.array([0.01, 0.03, -0.02, -0.02]),
                               sigma=np.array([0.3, 0.3, 0.3]))
         report = rd.check_stability(p.alpha)
         assert report.m == 2
@@ -186,14 +185,21 @@ class TestTopGroupStable:
         np.testing.assert_allclose(limit.shares, [0.9047, 0.0953], atol=5e-5)
 
     def test_single_household_group(self):
-        p = rd.RankParameters(n=3, alpha=np.array([0.03, -0.02, -0.01]),
+        p = rd.RankParameters(alpha=np.array([0.03, -0.02, -0.01]),
                               sigma=np.array([0.3, 0.3]))
         limit = rd.top_group_stable(p, 1)
         np.testing.assert_array_equal(limit.shares, [1.0])
 
     @pytest.mark.parametrize("m", [0, 4])
     def test_group_size_out_of_range_rejected(self, m):
-        p = rd.RankParameters(n=3, alpha=np.array([0.03, -0.02, -0.01]),
+        p = rd.RankParameters(alpha=np.array([0.03, -0.02, -0.01]),
+                              sigma=np.array([0.3, 0.3]))
+        with pytest.raises(rd.RankModelError, match="outside 1..3"):
+            rd.top_group_stable(p, m)
+
+    @pytest.mark.parametrize("m", [1.5, "1"], ids=["fraction", "string"])
+    def test_group_size_not_integer_rejected(self, m):
+        p = rd.RankParameters(alpha=np.array([0.03, -0.02, -0.01]),
                               sigma=np.array([0.3, 0.3]))
         with pytest.raises(rd.RankModelError, match="outside 1..3"):
             rd.top_group_stable(p, m)
@@ -206,7 +212,7 @@ class TestTopGroupStable:
     def test_group_below_first_violation_rejected(self):
         # Unstable at rank 2, but the top one household alone is not a
         # divergent group: its prefix sum is negative.
-        p = rd.RankParameters(n=3, alpha=np.array([-0.01, 0.03, -0.02]),
+        p = rd.RankParameters(alpha=np.array([-0.01, 0.03, -0.02]),
                               sigma=np.array([0.3, 0.3]))
         with pytest.raises(rd.NotDivergentError):
             rd.top_group_stable(p, 1)
@@ -214,7 +220,7 @@ class TestTopGroupStable:
     def test_group_unstable(self):
         # Unstable overall, but the group's internal rates (alpha - mean)
         # start with a nonnegative prefix: no internal stable distribution.
-        p = rd.RankParameters(n=3, alpha=np.array([0.05, 0.03, -0.08]),
+        p = rd.RankParameters(alpha=np.array([0.05, 0.03, -0.08]),
                               sigma=np.array([0.3, 0.3]))
         with pytest.raises(rd.GroupUnstableError):
             rd.top_group_stable(p, 2)
@@ -255,7 +261,7 @@ class TestShiftAndTopGroupProperties:
         n = alpha.size
         report = rd.check_stability(alpha)
         assume(not report.stable)
-        params = rd.RankParameters(n=n, alpha=alpha, sigma=sigma)
+        params = rd.RankParameters(alpha=alpha, sigma=sigma)
         try:
             top = rd.top_group_stable(params, report.m)
         except rd.GroupUnstableError:
