@@ -29,6 +29,7 @@ from .core import (
     StabilityReport,
     TiedSharesError,
     UnstableError,
+    _as_float_array,
     _as_float_vector,
     _freeze,
     as_integer,
@@ -50,12 +51,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StableGaps:
-    """Expected adjacent log-share gaps of a stable configuration."""
+    """Expected adjacent log-share gaps of a stable configuration: a 1-D
+    vector, empty for a one-household top group."""
 
     gaps: np.ndarray
 
     def __post_init__(self):
-        gaps = np.asarray(self.gaps, dtype=np.float64)
+        gaps = _as_float_array(self.gaps, "gaps")
+        if gaps.ndim != 1:
+            raise RankModelError("gaps must be a 1-D vector")
         if np.any(~np.isfinite(gaps)) or np.any(gaps < 0):
             raise RankModelError("gaps must be finite and nonnegative")
         _freeze(self, gaps=gaps)
@@ -80,10 +84,10 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
     carry nonzero aggregate drift by construction.  Raises
     :class:`UnstableError` at the first nonnegative prefix sum.
     """
-    sums = np.asarray(sums, dtype=np.float64)
+    sums = _as_float_array(sums, "sums")
     if np.any(sums >= 0):
         raise UnstableError(int(np.argmax(sums >= 0)) + 1)
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _as_float_array(sigma, "sigma")
     if sigma.size != sums.size:
         raise RankModelError("sigma and prefix sums differ in length")
     return StableGaps(gaps=sigma ** 2 / (-4.0 * sums))
@@ -110,7 +114,7 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     sums to zero exactly.  Round-trips through :func:`stable_gaps` and
     :func:`shares_from_gaps`.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _as_float_array(sigma, "sigma")
     n = shares.n
     if sigma.size != n - 1:
         raise RankModelError("sigma must have length n - 1")

@@ -7,7 +7,8 @@ import pytest
 import rankdist
 
 # The variables that size the BLAS pool under numpy (OpenBLAS, or MKL in
-# some builds), the one thread pool a ``rankdist.cli simulate`` child has.
+# some builds).  A ``rankdist.cli simulate`` child also has the simulator's
+# one shock-drawing worker from n = 8,192 up, which these do not size.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 

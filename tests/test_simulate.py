@@ -1,5 +1,7 @@
 """Unit tests for the Monte Carlo simulators."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,15 @@ class TestGapOracle:
                          burn_in=1.0, seed=1), **override}
         with pytest.raises(rd.RankModelError):
             rd.simulate_gap_oracle(**kwargs)
+
+    def test_zero_steps_named(self):
+        # dt longer than the horizon rounds to no step at all: the error
+        # names horizon / dt, not the burn-in.
+        with pytest.raises(rd.RankModelError,
+                           match="horizon / dt must round to a finite "
+                                 "number of steps, at least 1"):
+            rd.simulate_gap_oracle(kappa=0.5, sigma=0.2, dt=100.0,
+                                   horizon=10.0, burn_in=0.0, seed=1)
 
     def test_deterministic_across_chunking(self, monkeypatch):
         # 5,500 steps in chunks of 1,000, the last one partial; the burn-in
@@ -336,6 +347,106 @@ class TestRankOrderedStateMatchesReference:
         calls = self.count_lexsorts(monkeypatch)
         self.assert_same_bits(params, config, uniform)
         assert len(calls) == 200  # 80 particles on a lattice: always ties
+
+
+def gibrat_system(n):
+    """Constant alpha below the top rank and the bottom rank's balancing
+    drift, started from its stable distribution."""
+    alpha = np.full(n, -0.1)
+    alpha[-1] = 0.1 * (n - 1)
+    params = rd.RankParameters(alpha=alpha, sigma=np.full(n - 1, 0.3))
+    return params, rd.shares_from_gaps(rd.stable_gaps(params))
+
+
+class TestWorkerDraw:
+    """From n = ``_WORKER_DRAW_MIN_N`` up, each step's shocks are drawn on
+    one worker thread while the step before re-ranks; below it, in the
+    calling thread."""
+
+    def config(self, n, **overrides):
+        return rd.SimConfig(**{**dict(n=n, dt=0.05, horizon=2.0, seed=3,
+                                      record_every=0.5,
+                                      report_brackets=((0.0, 100.0),)),
+                               **overrides})
+
+    def draw_threads(self, monkeypatch):
+        """Patch ``_philox`` to log the thread each draw runs on and the
+        number of threads alive at the time."""
+        threads = []
+        philox = simulate._philox
+
+        def logged(seed, step):
+            threads.append((threading.get_ident(), threading.active_count()))
+            return philox(seed, step)
+
+        monkeypatch.setattr(simulate, "_philox", logged)
+        return threads
+
+    @pytest.mark.parametrize("drift_clip", [None, 0.5],
+                             ids=["unclipped", "clipped"])
+    def test_same_bits_as_reference(self, drift_clip, monkeypatch):
+        n = -(-simulate._WORKER_DRAW_MIN_N // 100) * 100  # 10% is a rank
+        params, initial = gibrat_system(n)
+        config = self.config(n, drift_clip=drift_clip, report_brackets=(
+            (0.0, 1.0), (1.0, 10.0), (10.0, 100.0)))
+        threads = self.draw_threads(monkeypatch)
+        path = rd.simulate_ranked(params, config, initial)
+        assert len(threads) == config.steps
+        assert len({ident for ident, _count in threads}) == 1
+        assert threads[0][0] != threading.get_ident()  # all on the worker
+        times, group, final, gaps = particle_indexed_reference(
+            params, config, initial)
+        np.testing.assert_array_equal(path.times, times)
+        np.testing.assert_array_equal(path.group_shares, group)
+        np.testing.assert_array_equal(path.final_shares.shares, final)
+        np.testing.assert_array_equal(path.rank_gap_averages, gaps)
+
+    def test_below_crossover_no_worker(self, monkeypatch):
+        n = simulate._WORKER_DRAW_MIN_N - 1
+        params, initial = gibrat_system(n)
+        config = self.config(n)
+        threads = self.draw_threads(monkeypatch)
+        before = threading.active_count()
+        rd.simulate_ranked(params, config, initial)
+        assert threads == [(threading.get_ident(), before)] * config.steps
+
+    @pytest.mark.parametrize("offset", [0, -1],
+                             ids=["worker", "inline"])
+    def test_draw_error_reaches_caller(self, offset, monkeypatch):
+        n = simulate._WORKER_DRAW_MIN_N + offset
+        params, initial = gibrat_system(n)
+        philox = simulate._philox
+        failed = []
+
+        def fails_at_step_7(seed, step):
+            if step == 7:
+                failed.append(threading.get_ident())
+                raise RuntimeError("draw failed at step 7")
+            return philox(seed, step)
+
+        monkeypatch.setattr(simulate, "_philox", fails_at_step_7)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="draw failed at step 7"):
+            rd.simulate_ranked(params, self.config(n), initial)
+        assert (failed[0] == threading.get_ident()) == (offset < 0)
+        assert len(threading.enumerate()) == len(before)
+
+    def test_loop_error_joins_worker(self, monkeypatch):
+        # The first record raises while the next step's draw is pending on
+        # the worker; the worker is joined before the error propagates.
+        n = simulate._WORKER_DRAW_MIN_N
+        params, initial = gibrat_system(n)
+        threads = self.draw_threads(monkeypatch)
+
+        def fails(_values):
+            raise RuntimeError("record failed")
+
+        monkeypatch.setattr(simulate, "prefix_sum", fails)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="record failed"):
+            rd.simulate_ranked(params, self.config(n), initial)
+        assert threads[-1][0] != threading.get_ident()
+        assert len(threading.enumerate()) == len(before)
 
 
 class TestGapAverageReport:

@@ -63,14 +63,29 @@ class TestStableGaps:
     @pytest.mark.parametrize("gaps, message", [
         ([0.1, -0.1], "finite and nonnegative"),
         ([0.1, np.inf], "finite and nonnegative"),
-    ], ids=["negative", "inf"])
+        ("x", "gaps must hold numbers"),
+        (np.full((2, 2), 0.1), "gaps must be a 1-D vector"),
+        (0.5, "gaps must be a 1-D vector"),
+    ], ids=["negative", "inf", "string", "two_dimensional", "scalar"])
     def test_bad_gaps_rejected(self, gaps, message):
         with pytest.raises(rd.RankModelError, match=message):
-            rd.StableGaps(gaps=np.array(gaps))
+            rd.StableGaps(gaps=gaps)
+
+    def test_one_rank_has_no_gaps(self):
+        # A one-household top group has no gaps, and that is legal.
+        assert rd.StableGaps(gaps=[]).n == 1
 
     def test_prefix_sums_and_sigma_differ_in_length(self):
         with pytest.raises(rd.RankModelError, match="differ in length"):
             gaps_from_prefix_sums(np.array([-0.1, -0.2]), np.array([0.3]))
+
+    @pytest.mark.parametrize("sums, sigma, name", [
+        (["a", "b"], [0.3, 0.3], "sums"),
+        ([-0.1, -0.2], ["a", "b"], "sigma"),
+    ], ids=["sums", "sigma"])
+    def test_prefix_sum_inputs_must_hold_numbers(self, sums, sigma, name):
+        with pytest.raises(rd.RankModelError, match=f"{name} must hold"):
+            gaps_from_prefix_sums(sums, sigma)
 
     def test_scale_invariance(self):
         # Doubling sigma multiplies gaps by exactly 4 (power-of-two scaling
@@ -141,6 +156,11 @@ class TestAlphaFromShares:
         s = rd.make_ranked_shares([0.5, 0.3, 0.2])
         with pytest.raises(rd.NonPositiveSigmaError):
             rd.alpha_from_shares(s, np.array([0.3, -0.3]))
+
+    def test_non_numeric_sigma_rejected(self):
+        s = rd.make_ranked_shares([0.5, 0.3, 0.2])
+        with pytest.raises(rd.RankModelError, match="sigma must hold"):
+            rd.alpha_from_shares(s, ["a", "b"])
 
 
 class TestCheckStability:
