@@ -102,6 +102,15 @@ def tiny_system(n=50, seed=5):
     return params, shares
 
 
+def gibrat_system(n):
+    """Constant alpha below the top rank and the bottom rank's balancing
+    drift, started from its stable distribution."""
+    alpha = np.full(n, -0.1)
+    alpha[-1] = 0.1 * (n - 1)
+    params = rd.RankParameters(alpha=alpha, sigma=np.full(n - 1, 0.3))
+    return params, rd.shares_from_gaps(rd.stable_gaps(params))
+
+
 class TestSimulateRanked:
     BRACKETS = ((0.0, 10.0), (10.0, 100.0))
 
@@ -196,12 +205,8 @@ class TestSimulateRanked:
         # Small pure-power-law system over a long horizon: time-averaged
         # simulated gaps should approach the closed form.
         n = 10
-        alpha = np.full(n, -0.1)
-        alpha[-1] = 0.1 * (n - 1)
-        params = rd.RankParameters(alpha=alpha,
-                                   sigma=np.full(n - 1, 0.3))
+        params, shares = gibrat_system(n)
         predicted = rd.stable_gaps(params)
-        shares = rd.shares_from_gaps(predicted)
         config = rd.SimConfig(n=n, dt=0.01, horizon=2000.0, seed=2,
                               record_every=100.0,
                               report_brackets=((0.0, 100.0),))
@@ -347,15 +352,6 @@ class TestRankOrderedStateMatchesReference:
         calls = self.count_lexsorts(monkeypatch)
         self.assert_same_bits(params, config, uniform)
         assert len(calls) == 200  # 80 particles on a lattice: always ties
-
-
-def gibrat_system(n):
-    """Constant alpha below the top rank and the bottom rank's balancing
-    drift, started from its stable distribution."""
-    alpha = np.full(n, -0.1)
-    alpha[-1] = 0.1 * (n - 1)
-    params = rd.RankParameters(alpha=alpha, sigma=np.full(n - 1, 0.3))
-    return params, rd.shares_from_gaps(rd.stable_gaps(params))
 
 
 class TestWorkerDraw:
