@@ -28,6 +28,7 @@ from .core import (
     _as_float_array,
     as_finite,
     as_integer,
+    as_pair,
     bracket_to_ranks,
     group_shares,
     per_rank_values,
@@ -125,25 +126,25 @@ def expand_sigma(table: VolatilityTable, n: int, variant: str) -> np.ndarray:
     return per_rank_values(table.brackets, table.variant(variant), n)[:n - 1]
 
 
-def _segment_index(n: int, breakpoints: Tuple[float, float]
-                   ) -> Tuple[np.ndarray, int, int]:
-    """Segment id (0, 1, 2) of each gap k = 1..n-1, by the gap's upper rank,
-    and the knee ranks b1, b2."""
+def _knees(n: int, breakpoints) -> Tuple[int, int]:
+    """The knee ranks b1, b2: the fill-in's pieces hold the gaps (upper
+    ranks) 1..b1, b1+1..b2 and b2+1..n-1."""
+    breakpoints = as_pair(breakpoints, "breakpoints")
     b1_pct, b2_pct = breakpoints
     if not (0.0 < b1_pct < b2_pct < 100.0):
         raise RankModelError(f"breakpoints {breakpoints} must be interior "
                              f"percents in increasing order")
     after_b1, b2 = bracket_to_ranks(breakpoints, n)
-    b1 = after_b1 - 1
-    seg = np.repeat(np.arange(3), (b1, b2 - b1, n - 1 - b2))
-    return seg, b1, b2
+    return after_b1 - 1, b2
 
 
-def _shares_from_slopes(slopes: np.ndarray, seg: np.ndarray,
-                        dlog: np.ndarray) -> np.ndarray:
+def _shares_from_slopes(slopes: np.ndarray, b1: int, b2: int,
+                        n: int) -> np.ndarray:
     """Descending shares whose log-log curve is piecewise linear with the
-    given per-segment slopes, continuous at the knees, normalized to one."""
-    logs = np.concatenate([[0.0], prefix_sum(slopes[seg] * dlog)])
+    given per-piece slopes, continuous at the knees, normalized to one."""
+    steps = (np.repeat(slopes, (b1, b2 - b1, n - 1 - b2))
+             * np.diff(np.log(np.arange(1, n + 1))))
+    logs = np.concatenate([[0.0], prefix_sum(steps)])
     weights = np.exp(logs - logs.max())
     return weights / weights.sum()
 
@@ -315,6 +316,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
     order.
     """
     n = as_integer(n, "n", 2)
+    b1, b2 = _knees(n, breakpoints)
     bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                              for b in target.brackets], dtype=np.intp)
     # A descending fit requires the target's average per-household share to
@@ -326,9 +328,6 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
             "target bracket density is not strictly decreasing; no "
             "descending piecewise power-law fit exists")
 
-    seg, b1, b2 = _segment_index(n, breakpoints)
-    target_vec = target.shares
-
     if uniform:
         # Degenerate uniform target: zero slopes fit exactly.
         slopes = np.zeros(3)
@@ -336,7 +335,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
         sums = _bracket_sums_in_closed_form(bounds, b1, b2, n)
 
         def objective(slopes) -> float:
-            return float(np.abs(sums(slopes) - target_vec).sum())
+            return float(np.abs(sums(slopes) - target.shares).sum())
 
         best = None
         for start in _STARTS:
@@ -349,9 +348,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
             raise FitFailedError("piecewise log-log fit did not converge")
         slopes = np.asarray(best.x, dtype=np.float64)
 
-    ranks = np.arange(1, n + 2, dtype=np.float64)
-    dlog = np.diff(np.log(ranks))[:n - 1]
-    shares = _shares_from_slopes(slopes, seg, dlog)
+    shares = _shares_from_slopes(slopes, b1, b2, n)
     if not uniform and np.any(np.diff(shares) >= 0):
         raise FitFailedError("fitted shares are not strictly descending "
                              "(a fitted slope is nonnegative)")
@@ -361,7 +358,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
         breakpoints=(1, b1, b2, n),
         slopes=tuple(float(s) for s in slopes),
         intercept=float(np.log(shares[0])),
-        fit_error=float(np.abs(fitted - target_vec).sum()))
+        fit_error=float(np.abs(fitted - target.shares).sum()))
     return RankedShares(shares=shares), fit
 
 

@@ -44,7 +44,6 @@ from .core import (
     VolatilityTable,
     as_brackets,
     as_integer,
-    as_pair,
 )
 from .scenarios import (
     apply_tax,
@@ -118,15 +117,12 @@ def _load_config(args) -> RunConfig:
 
     n = as_integer(raw.get("n", 1_000_000), "n", 2)
     sigma_variant = args.sigma or raw.get("sigma_variant", "low")
-    breakpoints = as_pair(raw.get("breakpoints", DEFAULT_BREAKPOINTS),
-                          "breakpoints")
 
     target = fileio.read_grouped_shares(
         raw.get("grouped_shares") or fileio.DATA_DIR / "wealth2012.csv")
     vol_path = raw.get("volatility")
     volatility = (fileio.read_volatility_table(vol_path) if vol_path
                   else default_volatility_table())
-    volatility.variant(sigma_variant)
 
     scenario = getattr(args, "scenario", None)
     if scenario is None:
@@ -148,17 +144,18 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         sim["seed"] = args.seed
     return RunConfig(n=n, sigma_variant=sigma_variant,
-                     breakpoints=breakpoints, target=target,
-                     volatility=volatility, trend=trend, tax=tax,
-                     report_brackets=report_brackets, out_dir=out_dir,
-                     sim=sim)
+                     breakpoints=raw.get("breakpoints", DEFAULT_BREAKPOINTS),
+                     target=target, volatility=volatility, trend=trend,
+                     tax=tax, report_brackets=report_brackets,
+                     out_dir=out_dir, sim=sim)
 
 
 def _calibrated(cfg: RunConfig):
-    shares, fit = fit_piecewise_pareto(cfg.target, cfg.n, cfg.breakpoints)
+    # expand_sigma checks the sigma variant, before the fit spends its time;
+    # fit_piecewise_pareto checks the breakpoints.
     sigma = expand_sigma(cfg.volatility, cfg.n, cfg.sigma_variant)
-    params = alpha_from_shares(shares, sigma)
-    return shares, fit, params
+    shares, fit = fit_piecewise_pareto(cfg.target, cfg.n, cfg.breakpoints)
+    return shares, fit, alpha_from_shares(shares, sigma)
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:

@@ -134,6 +134,10 @@ class SimulationPath:
         sums = self.group_shares.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= 1e-9):
             raise RankModelError("recorded group shares must sum to 1")
+        if len(self.times) != len(self.group_shares):
+            raise RankModelError("times must hold one entry per recorded row")
+        if len(self.rank_gap_averages) != self.final_shares.n - 1:
+            raise RankModelError("rank_gap_averages must have n - 1 entries")
 
 
 def _philox(seed: int, step: int) -> np.random.Generator:
@@ -254,6 +258,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     n = config.n
     if params.n != n or initial.n != n:
         raise RankModelError("params, config, and initial sizes must agree")
+    if np.any(initial.shares <= 0):
+        raise RankModelError("initial shares must be positive")
     alpha = params.alpha
     if config.drift_clip is not None:
         alpha = np.clip(alpha, -config.drift_clip, config.drift_clip)
@@ -323,10 +329,14 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
 
 
 def gap_average_report(path: SimulationPath, predicted: StableGaps) -> dict:
-    """Per-rank relative errors of simulated vs predicted log gaps."""
+    """Per-rank relative errors of simulated vs predicted positive gaps."""
     empirical = path.rank_gap_averages
     if empirical.size != predicted.gaps.size:
         raise RankModelError("simulated and predicted gap lengths differ")
+    if empirical.size == 0:
+        raise RankModelError("no gap to compare")
+    if np.any(predicted.gaps <= 0):
+        raise RankModelError("predicted gaps must be positive")
     rel = np.abs(empirical - predicted.gaps) / predicted.gaps
     return {
         "relative_errors": rel,

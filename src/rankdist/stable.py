@@ -109,14 +109,13 @@ def shares_from_gaps(gaps: StableGaps) -> RankedShares:
 def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     """Invert a strictly descending distribution into relative growth rates.
 
-    Prefix sums satisfy sum_k = -sigma_k**2 / (4 gap_k); per-rank alpha by
-    differencing, with the last element defined by negation so the output
-    sums to zero exactly.  Round-trips through :func:`stable_gaps` and
+    Prefix sums satisfy S_k = -sigma_k**2 / (4 gap_k) for k = 1..n-1;
+    alpha_k = S_k - S_{k-1} with S_0 = S_n = 0, so the output sums to zero
+    exactly.  Round-trips through :func:`stable_gaps` and
     :func:`shares_from_gaps`.
     """
     sigma = _as_float_array(sigma, "sigma")
-    n = shares.n
-    if sigma.size != n - 1:
+    if sigma.size != shares.n - 1:
         raise RankModelError("sigma must have length n - 1")
     values = shares.shares
     # log1p of the adjacent ratio keeps full relative precision even when
@@ -126,11 +125,8 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     if np.any(gaps <= 0):
         raise TiedSharesError(int(np.argmax(gaps <= 0)) + 1)
     sums = -(sigma ** 2) / (4.0 * gaps)
-    alpha = np.empty(n)
-    alpha[0] = sums[0]
-    alpha[1:n - 1] = np.diff(sums)
-    alpha[n - 1] = -sums[n - 2]
-    return RankParameters(alpha=alpha, sigma=sigma)
+    return RankParameters(alpha=np.diff(sums, prepend=0.0, append=0.0),
+                          sigma=sigma)
 
 
 def check_stability(alpha) -> StabilityReport:
@@ -183,20 +179,19 @@ def top_group_stable(params: RankParameters, m: int) -> RankedShares:
             f"no divergent top group of size {m}: every prefix sum of alpha "
             f"through rank {through} is negative")
     group = params.alpha[:m] - params.alpha[:m].mean()
-    group_sums = prefix_sum(group)[:-1]
-    if np.any(group_sums >= 0):
-        raise GroupUnstableError(
-            f"divergent top group of size {m} has no stable internal "
-            f"distribution (prefix sum nonnegative at rank "
-            f"{int(np.argmax(group_sums >= 0)) + 1})")
     try:
         with np.errstate(over="ignore"):
-            gaps = gaps_from_prefix_sums(group_sums, params.sigma[:m - 1])
-    except RankModelError as exc:  # sums so near 0 that a gap overflows
+            gaps = gaps_from_prefix_sums(prefix_sum(group)[:-1],
+                                         params.sigma[:m - 1])
+    except RankModelError as exc:
+        # An UnstableError names the first nonnegative prefix sum; any other
+        # error is a gap that overflows on sums too close to zero.
+        why = (f"prefix sum nonnegative at rank {exc.rank}"
+               if isinstance(exc, UnstableError) else
+               "its prefix sums are too close to zero for finite gaps")
         raise GroupUnstableError(
             f"divergent top group of size {m} has no stable internal "
-            f"distribution (its prefix sums are too close to zero for "
-            f"finite gaps)") from exc
+            f"distribution ({why})") from exc
     shares = shares_from_gaps(gaps).shares.copy()
     # The group holds all wealth in the limit, so its total must be exactly
     # 1 in float64, not 1 up to a rounding residual: fold the residual of

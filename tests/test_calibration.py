@@ -117,6 +117,22 @@ class TestFitPiecewisePareto:
         for s in fit.slopes:
             assert s == pytest.approx(slope, abs=1e-3)
 
+    @pytest.mark.parametrize("breakpoints, message", [
+        (5, "breakpoints must be a pair"),
+        (("a", "b"), r"breakpoints\[0\] must be a finite number"),
+        ((0.01,), "breakpoints must be a pair"),
+        (None, "breakpoints must be a pair"),
+        ((10.0, 0.01), "must be interior percents in increasing order"),
+    ], ids=["number", "strings", "one_entry", "none", "decreasing"])
+    @pytest.mark.parametrize("fit", [
+        lambda bp: rd.fit_piecewise_pareto(TARGET_2012, 10**4, bp),
+        lambda bp: rd.calibrate(TARGET_2012, rd.default_volatility_table(),
+                                "low", 10**4, bp),
+    ], ids=["fit_piecewise_pareto", "calibrate"])
+    def test_breakpoints_checked(self, fit, breakpoints, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            fit(breakpoints)
+
     def test_infeasible_target(self):
         target = GroupedShares(brackets=((0, 50), (50, 100)),
                                shares=np.array([0.3, 0.7]))
@@ -178,9 +194,8 @@ class TestClosedFormBracketSums:
         slopes = np.array(slopes)
         bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                                  for b in TARGET_2012.brackets])
-        seg, b1, b2 = calibration._segment_index(n, breakpoints)
-        dlog = np.diff(np.log(np.arange(1, n + 1, dtype=np.float64)))
-        shares = calibration._shares_from_slopes(slopes, seg, dlog)
+        b1, b2 = calibration._knees(n, breakpoints)
+        shares = calibration._shares_from_slopes(slopes, b1, b2, n)
         cums = np.concatenate([[0.0], prefix_sum(shares)])
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
         np.testing.assert_allclose(sums(slopes), np.diff(cums[bounds]),
@@ -190,7 +205,7 @@ class TestClosedFormBracketSums:
         n = 10**6
         bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                                  for b in TARGET_2012.brackets])
-        _seg, b1, b2 = calibration._segment_index(n, (0.01, 10.0))
+        b1, b2 = calibration._knees(n, (0.01, 10.0))
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
         for slopes in [(-300.0, 0.0, 0.0), (0.0, 0.0, 300.0),
                        (50.0, -80.0, 40.0)]:
@@ -229,7 +244,7 @@ class TestMinimizeMatchesScipy:
     def test_fit_objective(self, n, breakpoints, start):
         bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                                  for b in TARGET_2012.brackets])
-        _seg, b1, b2 = calibration._segment_index(n, breakpoints)
+        b1, b2 = calibration._knees(n, breakpoints)
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
         self.check(lambda s: float(np.abs(sums(s) - TARGET_2012.shares).sum()),
                    start)

@@ -1,8 +1,9 @@
 """What the package imports.
 
-No module imports a name it never uses: no linter is part of the
-toolchain, so a small ``ast`` pass stands in for the unused-import check
-(``__init__`` is skipped: its imports are the package's public names).
+No module imports a name it never uses, in the package or in its tests:
+no linter is part of the toolchain, so a small ``ast`` pass stands in for
+the unused-import check (the package's ``__init__`` is skipped: its imports
+are the package's public names).
 And the package runs on numpy alone: importing it loads no scipy.
 """
 
@@ -15,8 +16,9 @@ import pytest
 
 import rankdist
 
-MODULES = sorted(path for path in Path(rankdist.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+MODULES = sorted(
+    [path for path in Path(rankdist.__file__).parent.glob("*.py")
+     if path.name != "__init__.py"] + list(Path(__file__).parent.glob("*.py")))
 
 
 def unused_imports(source: str):

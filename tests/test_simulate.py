@@ -201,6 +201,15 @@ class TestSimulateRanked:
         with pytest.raises(rd.RankModelError):
             rd.simulate_ranked(params, self.config(60), shares)
 
+    @pytest.mark.parametrize("last", [0.0, -0.1], ids=["zero", "negative"])
+    def test_nonpositive_initial_share_rejected(self, last):
+        # The log-wealth of a zero share is -inf; of a negative one, NaN.
+        params, _shares = gibrat_system(10)
+        initial = rd.RankedShares(shares=np.append(np.full(9, 1 / 9), last))
+        with pytest.raises(rd.RankModelError,
+                           match="initial shares must be positive"):
+            rd.simulate_ranked(params, self.config(10), initial)
+
     def test_gap_averages_track_theory_gibrat(self):
         # Small pure-power-law system over a long horizon: time-averaged
         # simulated gaps should approach the closed form.
@@ -466,6 +475,40 @@ class TestGapAverageReport:
                 group_shares=np.array([row]),
                 final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
                 rank_gap_averages=np.full(3, 0.5))
+
+    @pytest.mark.parametrize("times, gaps, message", [
+        ([1.0, 2.0, 3.0], [0.5, 0.25, 0.1], "one entry per recorded row"),
+        ([1.0], [0.5], "n - 1 entries"),
+    ], ids=["three_times_one_row", "one_gap_four_ranks"])
+    def test_path_shape_checked(self, times, gaps, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            rd.SimulationPath(
+                times=np.array(times),
+                group_shares=np.array([[1.0]]),
+                final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
+                rank_gap_averages=np.array(gaps))
+
+    def test_zero_predicted_gap_rejected(self):
+        # Dividing by it would give an infinite relative error.
+        predicted = rd.StableGaps(gaps=np.array([0.5, 0.0, 0.125]))
+        path = rd.SimulationPath(
+            times=np.array([1.0]),
+            group_shares=np.array([[1.0]]),
+            final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
+            rank_gap_averages=np.array([0.5, 0.1, 0.125]))
+        with pytest.raises(rd.RankModelError,
+                           match="predicted gaps must be positive"):
+            rd.gap_average_report(path, predicted)
+
+    def test_no_gap_rejected(self):
+        # One rank has no gap, and the quantiles of nothing are undefined.
+        path = rd.SimulationPath(
+            times=np.array([1.0]),
+            group_shares=np.array([[1.0]]),
+            final_shares=rd.RankedShares(shares=np.ones(1)),
+            rank_gap_averages=np.zeros(0))
+        with pytest.raises(rd.RankModelError, match="no gap to compare"):
+            rd.gap_average_report(path, rd.StableGaps(gaps=np.zeros(0)))
 
     def test_dimension_mismatch(self):
         predicted = rd.StableGaps(gaps=np.array([0.5, 0.25]))
