@@ -367,6 +367,7 @@ def calibrate(target: GroupedShares, table: VolatilityTable, variant: str,
               breakpoints: Tuple[float, float] = DEFAULT_BREAKPOINTS,
               ) -> RankParameters:
     """Fit the grouped targets and invert into rank-based growth rates."""
-    shares, _fit = fit_piecewise_pareto(target, n, breakpoints)
+    # expand_sigma checks the sigma variant, before the fit spends its time.
     sigma = expand_sigma(table, n, variant)
+    shares, _fit = fit_piecewise_pareto(target, n, breakpoints)
     return alpha_from_shares(shares, sigma)

@@ -127,12 +127,11 @@ def _load_config(args) -> RunConfig:
     scenario = getattr(args, "scenario", None)
     if scenario is None:
         scenario = raw.get("scenario", 1)
-    if isinstance(scenario, str) and not scenario.isdecimal():
-        trend = fileio.read_trend(scenario)
+    if isinstance(scenario, str):
+        trend = (preset_scenario(int(scenario)) if scenario.isdecimal()
+                 else fileio.read_trend(scenario))
     else:
-        if isinstance(scenario, str):
-            scenario = int(scenario)
-        trend = preset_scenario(as_integer(scenario, "scenario", 1))
+        trend = preset_scenario(scenario)
     tax_path = raw.get("tax")
     tax = fileio.read_tax(tax_path) if tax_path else default_capital_tax()
 

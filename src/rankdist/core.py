@@ -399,13 +399,13 @@ class StabilityReport:
 
     Stable iff every proper prefix sum of alpha is strictly negative; then
     every field is None.  When unstable, ``m`` is the size of the divergent
-    top group (smallest argmax of the running averages ``A``), and
-    ``unique_max`` records whether that argmax is unique.
+    top group (smallest argmax of the running averages A_k = S_k / k), A_m
+    their maximum, and ``unique_max`` whether that argmax is unique.
     """
 
-    first_violation: Optional[int] = None
     m: Optional[int] = None
-    A: Optional[np.ndarray] = None
+    A_m: Optional[float] = None
+    first_violation: Optional[int] = None
     unique_max: Optional[bool] = None
 
     @property
@@ -451,6 +451,7 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
     on integer ranks for the given n.
     """
     lo_pct, hi_pct = as_pair(bracket, "bracket")
+    n = as_integer(n, "n", 1)
     if not (0.0 <= lo_pct < hi_pct <= 100.0):
         raise RankModelError(f"invalid bracket ({lo_pct}, {hi_pct})")
     ranks = [pct * n / 100.0 for pct in (lo_pct, hi_pct)]

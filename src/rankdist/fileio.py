@@ -327,13 +327,9 @@ def write_loglog_csv(path, shares: np.ndarray) -> None:
 
 
 def write_divergence_json(path, report) -> None:
-    payload = {
-        "m": report.m,
-        "A_m": float(report.A[report.m - 1]),
-        "first_violation": report.first_violation,
-        "unique_max": bool(report.unique_max),
-    }
-    write_lines(path, [json.dumps(payload, indent=2)])
+    if report.stable:
+        raise RankModelError("a stable report has no divergent top group")
+    write_lines(path, [json.dumps(dataclasses.asdict(report), indent=2)])
 
 
 def write_path_csv(path, times: np.ndarray, group_shares: np.ndarray,

@@ -26,11 +26,13 @@ import numpy as np
 
 from .core import (
     GroupedShares,
+    RankModelError,
     RankParameters,
     StabilityReport,
     TaxSchedule,
     TrendSpec,
     UnknownScenarioError,
+    as_integer,
     group_shares,
     per_rank_values,
     prefix_sum,
@@ -109,6 +111,11 @@ def preset_scenario(scenario_id: int) -> TrendSpec:
     3: top 0.01% +1.5%/yr, next 0.01-0.1% +0.5%/yr, bottom 90% -1%/yr.
     4: top 0.01% +3%/yr, next 0.01-0.1% +1%/yr, bottom 90% -1.5%/yr.
     """
+    try:
+        scenario_id = as_integer(scenario_id, "scenario", 1, 5)
+    except RankModelError:
+        raise UnknownScenarioError(f"scenario must be an integer in 1..4, "
+                                   f"got {scenario_id!r}") from None
     if scenario_id == 1:
         return TrendSpec()
     if scenario_id == 2:
@@ -117,10 +124,8 @@ def preset_scenario(scenario_id: int) -> TrendSpec:
     if scenario_id == 3:
         return TrendSpec(brackets=((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)),
                          growth=np.array([0.015, 0.005, -0.01]))
-    if scenario_id == 4:
-        return TrendSpec(brackets=((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)),
-                         growth=np.array([0.03, 0.01, -0.015]))
-    raise UnknownScenarioError(f"scenario id {scenario_id!r} not in 1..4")
+    return TrendSpec(brackets=((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)),
+                     growth=np.array([0.03, 0.01, -0.015]))
 
 
 def default_capital_tax() -> TaxSchedule:
@@ -140,11 +145,11 @@ def project(params: RankParameters,
     from the running-average criterion ends up holding all wealth, with its
     internal stable distribution on ranks 1..m and exact zeros below.
     """
-    report = check_stability(params.alpha)
+    sums = prefix_sum(params.alpha)
+    report = check_stability(sums=sums)
     if report.stable:
-        sums = prefix_sum(params.alpha)[:-1]
         shares = shares_from_gaps(
-            gaps_from_prefix_sums(sums, params.sigma)).shares
+            gaps_from_prefix_sums(sums[:-1], params.sigma)).shares
     else:
         top = top_group_stable(params, report.m)
         shares = np.zeros(params.n)

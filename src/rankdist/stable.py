@@ -95,8 +95,7 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
 
 def stable_gaps(params: RankParameters) -> StableGaps:
     """Expected log gaps gap_k = sigma_k**2 / (2 kappa_k) of a stable system."""
-    sums = prefix_sum(params.alpha)[:-1]
-    return gaps_from_prefix_sums(sums, params.sigma)
+    return gaps_from_prefix_sums(prefix_sum(params.alpha)[:-1], params.sigma)
 
 
 def shares_from_gaps(gaps: StableGaps) -> RankedShares:
@@ -129,29 +128,28 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
                           sigma=sigma)
 
 
-def check_stability(alpha) -> StabilityReport:
-    """Prefix-sum stability test with divergent-subset analysis.
+def check_stability(*, sums) -> StabilityReport:
+    """Prefix-sum stability test on S_k = alpha_1 + ... + alpha_k, k = 1..n
+    (keyword-only, so alpha cannot pass for S; see ``core.prefix_sum``).
 
-    Stable iff every proper prefix sum of alpha is strictly negative.  When
-    unstable, the divergent top group has size m = argmax of the running
-    averages A_k = (alpha_1 + ... + alpha_k) / k, with the smallest index
-    taken on exact ties (``unique_max`` is false in that case so callers can
-    warn).
+    Stable iff every proper S_k is strictly negative.  When unstable, the
+    divergent top group has size m = argmax of the running averages
+    A_k = S_k / k, with the smallest index taken on exact ties
+    (``unique_max`` is false in that case so callers can warn).
 
     Alpha need not sum to zero: trend- and tax-adjusted growth rates carry
     a nonzero aggregate drift, and the argmax comparison is invariant to a
     common shift of all alpha.
     """
-    alpha = _as_float_vector(alpha, "alpha")
-    sums = prefix_sum(alpha)
+    sums = _as_float_vector(sums, "sums")
     bad = sums[:-1] >= 0
     if not np.any(bad):
         return StabilityReport()
     first = int(np.argmax(bad)) + 1
-    A = sums / np.arange(1, alpha.size + 1)
+    A = sums / np.arange(1, sums.size + 1)
     m = int(np.argmax(A)) + 1  # np.argmax returns the smallest index on ties
     unique = int(np.count_nonzero(A == A[m - 1])) == 1
-    return StabilityReport(first_violation=first, m=m, A=A,
+    return StabilityReport(first_violation=first, m=m, A_m=float(A[m - 1]),
                            unique_max=unique)
 
 

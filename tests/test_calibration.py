@@ -281,10 +281,24 @@ class TestCalibrate:
         with pytest.raises(rd.RankModelError, match="n must be an integer"):
             rd.fit_piecewise_pareto(TARGET_2012, "10000")
 
+    def test_sigma_variant_checked_before_the_fit(self, monkeypatch):
+        calls = []
+
+        def counting(*args, original=calibration.minimize):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(calibration, "minimize", counting)
+        with pytest.raises(rd.RankModelError,
+                           match="unknown sigma variant 'mid'"):
+            rd.calibrate(TARGET_2012, rd.default_volatility_table(), "mid",
+                         10**4)
+        assert calls == []
+
     def test_stable_by_construction(self):
         params = rd.calibrate(TARGET_2012, rd.default_volatility_table(),
                               "low", 10**4)
-        report = rd.check_stability(params.alpha)
+        report = rd.check_stability(sums=prefix_sum(params.alpha))
         assert report.stable
 
     def test_round_trip_fixed_point(self):

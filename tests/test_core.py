@@ -126,6 +126,11 @@ class TestBracketToRanks:
         with pytest.raises(rd.RankModelError):
             rd.bracket_to_ranks(bracket, 100)
 
+    @pytest.mark.parametrize("n", [0, "x"], ids=["zero", "string"])
+    def test_bad_size_rejected(self, n):
+        with pytest.raises(rd.RankModelError, match="n must be an integer"):
+            rd.bracket_to_ranks((0, 100), n)
+
     def test_partition_of_percent_space_partitions_ranks(self):
         brackets = [(0, 0.01), (0.01, 0.1), (0.1, 0.5), (0.5, 1), (1, 10),
                     (10, 100)]

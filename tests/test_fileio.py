@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankdist import fileio
-from rankdist.core import GroupedShares, RankModelError
+from rankdist.core import GroupedShares, RankModelError, StabilityReport
 
 
 def reference(header, *columns) -> bytes:
@@ -161,6 +161,12 @@ class TestPublicWriters:
         assert (tmp_path / "g.csv").read_bytes() == reference(
             ("lo_pct", "hi_pct", "share"), [b[0] for b in brackets],
             [b[1] for b in brackets], shares)
+
+    def test_divergence_json_rejects_stable_report(self, tmp_path):
+        with pytest.raises(RankModelError, match="stable report"):
+            fileio.write_divergence_json(tmp_path / "d.json",
+                                         StabilityReport())
+        assert not (tmp_path / "d.json").exists()
 
     def test_path_csv(self, tmp_path):
         brackets = ((0, 0.01), (0.01, 1), (1, 100))

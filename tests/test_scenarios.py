@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import rankdist as rd
-from rankdist.core import GroupedShares, TrendSpec, TaxSchedule
+import rankdist.scenarios
+import rankdist.stable
+from rankdist.core import GroupedShares, TrendSpec, TaxSchedule, prefix_sum
 
 
 def small_params(n=1000, seed=3):
@@ -82,6 +84,11 @@ class TestPresetScenario:
         with pytest.raises(rd.UnknownScenarioError):
             rd.preset_scenario(5)
 
+    def test_bool_rejected(self):
+        with pytest.raises(rd.UnknownScenarioError,
+                           match="must be an integer in 1..4, got True"):
+            rd.preset_scenario(True)
+
 
 class TestProject:
     BRACKETS = ((0, 1), (1, 10), (10, 100))
@@ -104,6 +111,23 @@ class TestProject:
         assert np.all(outcome.shares[m:] == 0.0)
         assert outcome.shares[:m].sum() == pytest.approx(1.0, abs=1e-12)
         assert outcome.grouped.shares.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("growth,kind", [(0.0, "stable"),
+                                             (5.0, "divergent")])
+    def test_adjusted_alpha_summed_once(self, monkeypatch, growth, kind):
+        # The stability verdict and the stable forward solve share one
+        # prefix sum of the adjusted alpha.
+        trend = TrendSpec(brackets=((0, 1),), growth=np.array([growth]))
+        params = rd.apply_trend(small_params(), trend)
+        calls = []
+        for module in (rankdist.scenarios, rankdist.stable):
+            def counting(values, original=module.prefix_sum):
+                if np.array_equal(np.asarray(values), params.alpha):
+                    calls.append(values)
+                return original(values)
+            monkeypatch.setattr(module, "prefix_sum", counting)
+        assert rd.project(params, self.BRACKETS).kind == kind
+        assert len(calls) == 1
 
     def test_monotone_severity_of_presets(self):
         # Stronger top trends concentrate the projected top share.
@@ -129,6 +153,6 @@ class TestProject:
         alpha = np.array([6.787481940000002e-298, 6.787481940000001e-298,
                           6.7874819400000025e-298])
         params = rd.RankParameters(alpha=alpha, sigma=np.ones(2))
-        assert rd.check_stability(alpha).m == 3
+        assert rd.check_stability(sums=prefix_sum(alpha)).m == 3
         with pytest.raises(rd.GroupUnstableError, match="finite gaps"):
             rd.project(params, ((0, 100),))

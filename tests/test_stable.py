@@ -9,6 +9,7 @@ from hypothesis import (assume, example, given, reject, settings,
 from hypothesis.extra.numpy import arrays
 
 import rankdist as rd
+from rankdist.core import prefix_sum
 from rankdist.stable import gaps_from_prefix_sums
 
 
@@ -165,24 +166,28 @@ class TestAlphaFromShares:
 
 class TestCheckStability:
     def test_stable(self):
-        report = rd.check_stability([-0.01, -0.01, 0.02])
+        report = rd.check_stability(sums=prefix_sum([-0.01, -0.01, 0.02]))
         assert report.stable and report.first_violation is None
 
     def test_unstable_top_household(self):
-        report = rd.check_stability([0.02, -0.01, -0.01])
+        report = rd.check_stability(sums=prefix_sum([0.02, -0.01, -0.01]))
         assert not report.stable
         assert report.first_violation == 1
-        np.testing.assert_allclose(report.A, [0.02, 0.005, 0.0])
+        np.testing.assert_allclose(report.A_m, 0.02)
         assert report.m == 1 and report.unique_max
 
     def test_tie_takes_smallest_m(self):
-        report = rd.check_stability([0.01, 0.01, -0.02])
+        report = rd.check_stability(sums=prefix_sum([0.01, 0.01, -0.02]))
         assert report.m == 1
         assert report.unique_max is False
-        np.testing.assert_allclose(report.A, [0.01, 0.01, 0.0])
+        np.testing.assert_allclose(report.A_m, 0.01)
+
+    def test_alpha_cannot_pass_as_sums(self):
+        with pytest.raises(TypeError):
+            rd.check_stability([0.02, -0.01, -0.01])
 
     def test_relaxed_sum_for_adjusted_rates(self):
-        report = rd.check_stability([0.05, -0.01])
+        report = rd.check_stability(sums=prefix_sum([0.05, -0.01]))
         assert not report.stable
 
     @pytest.mark.parametrize("alpha", [[np.nan, -0.01, 0.01],
@@ -190,7 +195,7 @@ class TestCheckStability:
                              ids=["nan", "inf"])
     def test_non_finite_rejected(self, alpha):
         with pytest.raises(rd.RankModelError, match="non-finite"):
-            rd.check_stability(alpha)
+            rd.check_stability(sums=prefix_sum(alpha))
 
 
 class TestTopGroupStable:
@@ -199,7 +204,7 @@ class TestTopGroupStable:
         # the group the rates become (-0.01, +0.01), one gap of 2.25.
         p = rd.RankParameters(alpha=np.array([0.01, 0.03, -0.02, -0.02]),
                               sigma=np.array([0.3, 0.3, 0.3]))
-        report = rd.check_stability(p.alpha)
+        report = rd.check_stability(sums=prefix_sum(p.alpha))
         assert report.m == 2
         limit = rd.top_group_stable(p, report.m)
         np.testing.assert_allclose(limit.shares, [0.9047, 0.0953], atol=5e-5)
@@ -255,14 +260,14 @@ class TestShiftAndTopGroupProperties:
     DYADIC = st.integers(-64, 64).map(lambda k: k / 8)
 
     def test_stability_is_not_shift_invariant(self):
-        assert rd.check_stability([-1.0, 1.0]).stable
-        assert not rd.check_stability([1.0, 3.0]).stable
+        assert rd.check_stability(sums=prefix_sum([-1.0, 1.0])).stable
+        assert not rd.check_stability(sums=prefix_sum([1.0, 3.0])).stable
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.lists(DYADIC, min_size=2, max_size=40), shift=DYADIC)
     def test_divergent_m_invariant_under_shift(self, alpha, shift):
-        before = rd.check_stability(alpha)
-        after = rd.check_stability(np.array(alpha) + shift)
+        before = rd.check_stability(sums=prefix_sum(alpha))
+        after = rd.check_stability(sums=prefix_sum(np.array(alpha) + shift))
         assume(not before.stable and not after.stable)
         assert after.m == before.m
 
@@ -279,7 +284,7 @@ class TestShiftAndTopGroupProperties:
     def test_top_group_sums_to_exactly_one(self, alpha_sigma):
         alpha, sigma = alpha_sigma
         n = alpha.size
-        report = rd.check_stability(alpha)
+        report = rd.check_stability(sums=prefix_sum(alpha))
         assume(not report.stable)
         params = rd.RankParameters(alpha=alpha, sigma=sigma)
         try:
