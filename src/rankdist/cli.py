@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -42,6 +41,7 @@ from .core import (
     TaxSchedule,
     TrendSpec,
     VolatilityTable,
+    _thread_count,
     as_brackets,
     as_integer,
 )
@@ -92,7 +92,8 @@ def _load_config(args) -> RunConfig:
     if args.config is not None:
         path = Path(args.config)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            # utf-8-sig: an editor may save the file with a BOM.
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise RankModelError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -230,10 +231,7 @@ def cmd_report(cfg: RunConfig) -> int:
         return f"{title}: {row}{suffix}"
 
     jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
-    # One thread per core: more only leave their freed n-long arrays
-    # behind in glibc's per-thread arenas, raising the process's RSS.
-    with ThreadPoolExecutor(max_workers=min(len(jobs),
-                                            os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count(len(jobs))) as pool:
         rows = list(pool.map(lambda job: cell(*job), jobs))
 
     lines = [f"n = {cfg.n}, sigma variant = {cfg.sigma_variant}",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -172,6 +173,14 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
     rounded back once.
     """
     return np.cumsum(np.asarray(values, dtype=np.longdouble)).astype(np.float64)
+
+
+def _thread_count(jobs: int) -> int:
+    """Threads for a pool over ``jobs`` independent jobs: one per core, no
+    more than there are jobs, and at least one, which an empty job list
+    never starts.  More threads than cores only leave their freed arrays
+    behind in glibc's per-thread arenas, raising the process's RSS."""
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def _as_float_array(values, name: str) -> np.ndarray:

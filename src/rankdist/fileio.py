@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence, Tuple
 
@@ -22,6 +23,8 @@ from .core import (
     TaxSchedule,
     TrendSpec,
     VolatilityTable,
+    _as_float_array,
+    _thread_count,
 )
 from .calibration import PiecewiseLogLogFit
 
@@ -50,7 +53,8 @@ def _read_table(path, make, *values: str):
     path = Path(path)
     header = ("lo_pct", "hi_pct") + values
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig: a spreadsheet's "CSV UTF-8" starts with a BOM.
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
@@ -281,20 +285,36 @@ def _format_rows(columns: Sequence[np.ndarray]) -> str:
     return str(text.compress(text != 0), "ascii")
 
 
+def _column(path, field: str, values) -> np.ndarray:
+    """``values`` as float64; non-numbers raise :class:`RankModelError`
+    naming the file and the header field."""
+    return _as_float_array(values, f"{Path(path).name} column {field!r}")
+
+
 def _write_table(path, header: Sequence[str], *columns) -> None:
-    """Write equal-length columns under a header, every cell as %.17g."""
-    columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    if (not columns or len(columns) != len(header)
-            or any(c.shape != columns[0].shape or c.ndim != 1
-                   for c in columns)):
+    """Write equal-length columns under a header, every cell as %.17g.
+
+    Blocks of ``_BLOCK_ROWS`` rows are formatted on one thread per core
+    (numpy releases the GIL in nearly all of it) and joined in order, so
+    the bytes do not depend on the thread count."""
+    if not columns or len(columns) != len(header):
+        raise RankModelError(
+            f"{Path(path).name}: a table needs one 1-D column per header "
+            f"field ({len(header)}); got {len(columns)} columns")
+    columns = [_column(path, field, column)
+               for field, column in zip(header, columns)]
+    if any(c.shape != columns[0].shape or c.ndim != 1 for c in columns):
         raise RankModelError(
             f"{Path(path).name}: a table needs one 1-D column per header "
             f"field ({len(header)}), all of one length; got shapes "
             f"{[c.shape for c in columns]}")
-    _write_text(path, "".join(
-        [",".join(header) + "\n"]
-        + [_format_rows([c[start:start + _BLOCK_ROWS] for c in columns])
-           for start in range(0, columns[0].size, _BLOCK_ROWS)]))
+    blocks = [[c[start:start + _BLOCK_ROWS] for c in columns]
+              for start in range(0, columns[0].size, _BLOCK_ROWS)]
+    with ThreadPoolExecutor(max_workers=_thread_count(len(blocks))) as pool:
+        # The list of block strings lives only inside the join.
+        text = "".join([",".join(header) + "\n",
+                        *pool.map(_format_rows, blocks)])
+    _write_text(path, text)
 
 
 def write_grouped_csv(path, grouped: GroupedShares) -> None:
@@ -302,12 +322,14 @@ def write_grouped_csv(path, grouped: GroupedShares) -> None:
     _write_table(path, ("lo_pct", "hi_pct", "share"), lo, hi, grouped.shares)
 
 
-def write_alpha_csv(path, alpha: np.ndarray) -> None:
+def write_alpha_csv(path, alpha) -> None:
+    alpha = _column(path, "alpha", alpha)
     _write_table(path, ("rank", "alpha"), np.arange(1.0, alpha.size + 1),
                  alpha)
 
 
-def write_fit_csv(path, shares: np.ndarray) -> None:
+def write_fit_csv(path, shares) -> None:
+    shares = _column(path, "share", shares)
     _write_table(path, ("rank", "share"), np.arange(1.0, shares.size + 1),
                  shares)
 
@@ -316,8 +338,9 @@ def write_fit_report(path, fit: PiecewiseLogLogFit) -> None:
     write_lines(path, [json.dumps(dataclasses.asdict(fit), indent=2)])
 
 
-def write_loglog_csv(path, shares: np.ndarray) -> None:
+def write_loglog_csv(path, shares) -> None:
     """Log-log plot data; ranks with exactly zero limit share are omitted."""
+    shares = _column(path, "share", shares)
     # log10 of contiguous copies: on a strided view numpy's vector log10
     # can differ from the scalar one in the last bit.
     positive = shares > 0
@@ -335,4 +358,5 @@ def write_divergence_json(path, report) -> None:
 def write_path_csv(path, times: np.ndarray, group_shares: np.ndarray,
                    brackets: Sequence[Tuple[float, float]]) -> None:
     header = ["year"] + [f"top_{lo:g}_{hi:g}" for lo, hi in brackets]
-    _write_table(path, header, times, *np.asarray(group_shares).T)
+    _write_table(path, header, times,
+                 *_column(path, "group_shares", group_shares).T)

@@ -1,10 +1,22 @@
 """Shared fixtures for the test suite."""
 
+import threading
 from pathlib import Path
 
 import pytest
 
 import rankdist
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread alive that it started: the
+    simulator's draw worker, the report grid's pool and the CSV writers'
+    pool all join their threads before they return, on success or error."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 # The variables that size the BLAS pool under numpy (OpenBLAS, or MKL in
 # some builds).  A ``rankdist.cli simulate`` child also has the simulator's

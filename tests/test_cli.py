@@ -54,6 +54,14 @@ class TestReaders:
             fileio.read_grouped_shares(path)
         assert info.value.line == 3
 
+    def test_table_with_bom(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" starts with a byte-order mark.
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + GROUPED_CSV.encode("ascii"))
+        g = fileio.read_grouped_shares(path)
+        assert g.brackets[0] == (0.0, 0.01)
+        assert g.shares[0] == 0.111
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("a,b,c\n0,100,1\n")
@@ -357,6 +365,11 @@ class TestCommands:
         cfg.write_text("{\"n\": 10000,")
         assert main(["project", "--config", str(cfg)]) == 1
         assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_config_with_bom(self, tmp_path, config):
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert main(["calibrate", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "fit_report.json").exists()
 
     def test_missing_config_file(self):
         assert main(["project", "--config", "/nonexistent/cfg.json"]) == 1

@@ -4,7 +4,9 @@ Each expected file is computed here, row by row with Python's ``%``
 operator, and compared byte for byte with what the package wrote.
 """
 
+import os
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +130,61 @@ class TestWriteTableShape:
         assert not (tmp_path / "t.csv").exists()
 
 
+class TestWriteTablePool:
+    """The blocks are formatted on one thread per core and joined in
+    order."""
+
+    ROWS = 2 * fileio._BLOCK_ROWS + 1  # three blocks
+
+    def columns(self):
+        return np.arange(self.ROWS), np.linspace(-1.0, 1.0, self.ROWS) ** 3
+
+    def test_blocks_format_on_more_than_one_thread(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # Blocks 1 and 2 each wait for the other: a writer that formats
+        # them on one thread breaks the barrier.
+        barrier = threading.Barrier(2, timeout=5)
+        threads = []
+        original = fileio._format_rows
+
+        def recording(columns):
+            threads.append(threading.get_ident())
+            if columns[0][0] < 2 * fileio._BLOCK_ROWS:
+                barrier.wait()
+            return original(columns)
+
+        monkeypatch.setattr(fileio, "_format_rows", recording)
+        assert_table_bytes(tmp_path, *self.columns())
+        assert len(threads) == 3 and len(set(threads)) == 2
+
+    @pytest.mark.parametrize("cores", [None, 1, 2, 3, 8])
+    def test_bytes_do_not_depend_on_the_core_count(self, tmp_path,
+                                                   monkeypatch, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert_table_bytes(tmp_path, *self.columns())
+
+    def test_error_in_a_block_propagates(self, tmp_path, monkeypatch):
+        class BlockError(Exception):
+            pass
+
+        original = fileio._format_rows
+
+        def failing(columns):
+            if columns[0][0] == fileio._BLOCK_ROWS:
+                raise BlockError("block 2")
+            return original(columns)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fileio, "_format_rows", failing)
+        running = len(threading.enumerate())
+        with pytest.raises(BlockError, match="block 2"):
+            fileio._write_table(tmp_path / "t.csv", ("a", "b"),
+                                *self.columns())
+        assert not (tmp_path / "t.csv").exists()
+        assert len(threading.enumerate()) == running
+
+
 class TestPublicWriters:
     SHARES = np.sort(np.random.default_rng(5).pareto(1.2, 20_000) + 1)[::-1]
     SHARES = SHARES / SHARES.sum()
@@ -161,6 +218,36 @@ class TestPublicWriters:
         assert (tmp_path / "g.csv").read_bytes() == reference(
             ("lo_pct", "hi_pct", "share"), [b[0] for b in brackets],
             [b[1] for b in brackets], shares)
+
+    @pytest.mark.parametrize("write, header", [
+        (fileio.write_alpha_csv, ("rank", "alpha")),
+        (fileio.write_fit_csv, ("rank", "share")),
+    ], ids=["alpha", "fit"])
+    def test_a_list_writes_like_an_array(self, tmp_path, write, header):
+        write(tmp_path / "t.csv", [0.5, 0.25])
+        assert (tmp_path / "t.csv").read_bytes() == reference(
+            header, [1, 2], [0.5, 0.25])
+
+    def test_loglog_csv_from_a_list(self, tmp_path):
+        fileio.write_loglog_csv(tmp_path / "l.csv", [0.5, 0.0, 0.25])
+        assert (tmp_path / "l.csv").read_bytes() == reference(
+            ("log10_rank", "log10_share"), np.log10([1.0, 3.0]),
+            np.log10([0.5, 0.25]))
+
+    @pytest.mark.parametrize("write, field", [
+        (fileio.write_alpha_csv, "alpha"),
+        (fileio.write_fit_csv, "share"),
+        (fileio.write_loglog_csv, "share"),
+        (lambda path, values: fileio._write_table(path, ("a",), values),
+         "a"),
+        (lambda path, values: fileio.write_path_csv(
+            path, values, [[1.0], [1.0]], ((0, 100),)), "year"),
+    ], ids=["alpha", "fit", "loglog", "table", "path"])
+    def test_non_numeric_column_rejected(self, tmp_path, write, field):
+        with pytest.raises(RankModelError,
+                           match=f"t.csv column '{field}' must hold numbers"):
+            write(tmp_path / "t.csv", ["0.5", "x"])
+        assert not (tmp_path / "t.csv").exists()
 
     def test_divergence_json_rejects_stable_report(self, tmp_path):
         with pytest.raises(RankModelError, match="stable report"):
