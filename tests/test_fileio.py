@@ -162,7 +162,14 @@ class TestWriteTablePool:
     def test_bytes_do_not_depend_on_the_core_count(self, tmp_path,
                                                    monkeypatch, cores):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert_table_bytes(tmp_path, *self.columns())
+        # Switch threads as often as the interpreter allows, so that blocks
+        # finish out of order.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_table_bytes(tmp_path, *self.columns())
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_error_in_a_block_propagates(self, tmp_path, monkeypatch):
         class BlockError(Exception):
