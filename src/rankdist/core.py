@@ -176,10 +176,11 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
 
 
 def _thread_count(jobs: int) -> int:
-    """Threads for a pool over ``jobs`` independent jobs: one per core, no
-    more than there are jobs, and at least one, which an empty job list
-    never starts.  More threads than cores only leave their freed arrays
-    behind in glibc's per-thread arenas, raising the process's RSS."""
+    """Threads for a pool over ``jobs`` independent jobs: one per core and
+    no more than there are jobs, but at least one, since a pool needs a
+    worker even when it is given no job (it then starts none).  More
+    threads than cores only leave their freed arrays behind in glibc's
+    per-thread arenas, raising the process's RSS."""
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
