@@ -25,7 +25,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 from . import fileio
 from .calibration import (
@@ -169,30 +169,31 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
-def _project_outputs(cfg: RunConfig, params: RankParameters) -> int:
-    outcome = project(params, cfg.report_brackets)
+def _adjusted(params: RankParameters, trend: TrendSpec,
+              tax: Optional[TaxSchedule] = None) -> RankParameters:
+    """The trend first, then the tax when there is one; never recentred."""
+    adjusted = apply_trend(params, trend)
+    return adjusted if tax is None else apply_tax(adjusted, tax)
+
+
+def _label(lo: float, hi: float) -> str:
+    return f"{lo:g}-{hi:g}%"
+
+
+def _cmd_projection(cfg: RunConfig, tax: Optional[TaxSchedule]) -> int:
+    params = _calibrated(cfg)[2]
+    outcome = project(_adjusted(params, cfg.trend, tax), cfg.report_brackets)
     out = cfg.out_dir
     fileio.write_grouped_csv(out / "projection.csv", outcome.grouped)
     fileio.write_loglog_csv(out / "loglog.csv", outcome.shares)
     if outcome.kind == "divergent":
         fileio.write_divergence_json(out / "divergence.json", outcome.report)
-    for (lo, hi), share in zip(outcome.grouped.brackets,
-                               outcome.grouped.shares):
-        print(f"  {lo:g}-{hi:g}%: {100 * share:.1f}%")
+    for bracket, share in zip(outcome.grouped.brackets,
+                              outcome.grouped.shares):
+        print(f"  {_label(*bracket)}: {100 * share:.1f}%")
     print(f"outcome: {outcome.kind}" +
           (f" (m={outcome.report.m})" if outcome.kind == "divergent" else ""))
     return 0
-
-
-def cmd_project(cfg: RunConfig) -> int:
-    params = _calibrated(cfg)[2]
-    return _project_outputs(cfg, apply_trend(params, cfg.trend))
-
-
-def cmd_tax(cfg: RunConfig) -> int:
-    params = _calibrated(cfg)[2]
-    adjusted = apply_tax(apply_trend(params, cfg.trend), cfg.tax)
-    return _project_outputs(cfg, adjusted)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -201,8 +202,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sim_config = SimConfig(n=cfg.n, report_brackets=cfg.report_brackets,
                            **cfg.sim)
     shares, _fit, params = _calibrated(cfg)
-    adjusted = apply_trend(params, cfg.trend)
-    path = simulate_ranked(adjusted, sim_config, shares)
+    path = simulate_ranked(_adjusted(params, cfg.trend), sim_config, shares)
     out = cfg.out_dir
     fileio.write_path_csv(out / "path.csv", path.times, path.group_shares,
                           cfg.report_brackets)
@@ -215,12 +215,11 @@ def cmd_report(cfg: RunConfig) -> int:
     """Human-readable summary: fit diagnostics plus the scenario/tax grid."""
     # The grid needs only the parameters; the fitted shares (n-long) go now.
     fit, params = _calibrated(cfg)[1:]
-    labels = [f"{lo:g}-{hi:g}%" for lo, hi in cfg.report_brackets]
+    labels = [_label(*bracket) for bracket in cfg.report_brackets]
 
     def cell(scenario_id: int, taxed: bool) -> str:
-        adjusted = apply_trend(params, preset_scenario(scenario_id))
-        if taxed:
-            adjusted = apply_tax(adjusted, cfg.tax)
+        adjusted = _adjusted(params, preset_scenario(scenario_id),
+                             cfg.tax if taxed else None)
         outcome = project(adjusted, cfg.report_brackets)
         title = f"scenario {scenario_id}" + (" + capital tax" if taxed else "")
         row = "  ".join(f"{label} {100 * share:.1f}%"
@@ -231,7 +230,7 @@ def cmd_report(cfg: RunConfig) -> int:
         return f"{title}: {row}{suffix}"
 
     jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
-    with ThreadPoolExecutor(max_workers=_thread_count(len(jobs))) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         rows = list(pool.map(lambda job: cell(*job), jobs))
 
     lines = [f"n = {cfg.n}, sigma variant = {cfg.sigma_variant}",
@@ -240,6 +239,19 @@ def cmd_report(cfg: RunConfig) -> int:
     fileio.write_lines(cfg.out_dir / "summary.txt", lines)
     print("\n".join(lines))
     return 0
+
+
+#: name -> (handler, help text, whether it takes --scenario).
+_COMMANDS = {
+    "calibrate": (cmd_calibrate,
+                  "fit grouped data and emit per-rank parameters", False),
+    "project": (lambda cfg: _cmd_projection(cfg, None),
+                "solve the limit distribution under a trend scenario", True),
+    "tax": (lambda cfg: _cmd_projection(cfg, cfg.tax),
+            "project under trend plus capital-tax adjustment", True),
+    "simulate": (cmd_simulate, "run the ranked-particle Monte Carlo", True),
+    "report": (cmd_report, "summarize the full scenario/tax grid", False),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,16 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rank-based wealth distribution model: calibration, "
                     "projection, capital-tax analysis, and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("calibrate", "fit grouped data and emit per-rank parameters"),
-        ("project", "solve the limit distribution under a trend scenario"),
-        ("tax", "project under trend plus capital-tax adjustment"),
-        ("simulate", "run the ranked-particle Monte Carlo"),
-        ("report", "summarize the full scenario/tax grid"),
-    ]:
+    for name, (_handler, help_text, takes_scenario) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
-        if name in ("project", "tax", "simulate"):
+        if takes_scenario:
             p.add_argument("--scenario",
                            help="trend preset 1..4 or a trend CSV")
         p.add_argument("--sigma", choices=["low", "high"],
@@ -274,19 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "calibrate": cmd_calibrate,
-    "project": cmd_project,
-    "tax": cmd_tax,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_load_config(args))
+        return _COMMANDS[args.command][0](_load_config(args))
     except RankModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -175,13 +175,11 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(values, dtype=np.longdouble)).astype(np.float64)
 
 
-def _thread_count(jobs: int) -> int:
-    """Threads for a pool over ``jobs`` independent jobs: one per core and
-    no more than there are jobs, but at least one, since a pool needs a
-    worker even when it is given no job (it then starts none).  More
-    threads than cores only leave their freed arrays behind in glibc's
-    per-thread arenas, raising the process's RSS."""
-    return max(1, min(jobs, os.cpu_count() or 1))
+def _thread_count() -> int:
+    """Threads for a pool: one per core.  A pool starts no more threads than
+    it is given jobs; more threads than cores only leave their freed arrays
+    behind in glibc's per-thread arenas, raising the process's RSS."""
+    return os.cpu_count() or 1
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -306,8 +304,9 @@ class RankParameters:
     sigma: np.ndarray
 
     def __post_init__(self):
-        alpha = _as_float_vector(self.alpha, "alpha")
+        # sigma first: a NaN in sigma spreads into the alpha inverted from it.
         sigma = _as_float_vector(self.sigma, "sigma")
+        alpha = _as_float_vector(self.alpha, "alpha")
         if sigma.size != alpha.size - 1:
             raise RankModelError("sigma must have length n - 1")
         if np.any(sigma <= 0):
@@ -492,7 +491,7 @@ def group_shares(shares, brackets: Sequence[Bracket]) -> GroupedShares:
     below its top group.
     """
     vec = shares.shares if isinstance(shares, RankedShares) else \
-        np.asarray(shares, dtype=np.float64)
+        _as_float_array(shares, "shares")
     n = vec.size
     cums = np.concatenate([[0.0], prefix_sum(vec)])
     out = np.empty(len(brackets))

@@ -57,7 +57,11 @@ def _read_table(path, make, *values: str):
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    reader = csv.reader(text.splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # an over-long field, say
+        raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from exc
     if not rows:
         raise ParseError(path, 1, "empty file")
     found = [cell.strip() for cell in rows[0]]
@@ -310,7 +314,7 @@ def _write_table(path, header: Sequence[str], *columns) -> None:
             f"{[c.shape for c in columns]}")
     blocks = [[c[start:start + _BLOCK_ROWS] for c in columns]
               for start in range(0, columns[0].size, _BLOCK_ROWS)]
-    with ThreadPoolExecutor(max_workers=_thread_count(len(blocks))) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         # The list of block strings lives only inside the join.
         text = "".join([",".join(header) + "\n",
                         *pool.map(_format_rows, blocks)])

@@ -32,6 +32,7 @@ from .core import (
     TaxSchedule,
     TrendSpec,
     UnknownScenarioError,
+    _as_float_array,
     as_integer,
     group_shares,
     per_rank_values,
@@ -99,7 +100,7 @@ def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
 
 def recenter(alpha) -> np.ndarray:
     """Subtract the mean so the vector sums to zero (idempotent)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _as_float_array(alpha, "alpha")
     return alpha - alpha.mean()
 
 

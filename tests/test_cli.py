@@ -54,6 +54,17 @@ class TestReaders:
             fileio.read_grouped_shares(path)
         assert info.value.line == 3
 
+    def test_over_long_cell_exits_1(self, tmp_path, capsys):
+        # Python's csv module refuses a field over 131,072 characters.
+        (tmp_path / "g.csv").write_text("lo_pct,hi_pct,share\n0,10,0.5\n"
+                                        "10,100," + "5" * 200_000 + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10000, "grouped_shares": "g.csv"}))
+        assert main(["calibrate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {tmp_path / 'g.csv'}:3: bad CSV: field larger" in \
+            capsys.readouterr().err
+
     def test_table_with_bom(self, tmp_path):
         # A spreadsheet's "CSV UTF-8" starts with a byte-order mark.
         path = tmp_path / "g.csv"

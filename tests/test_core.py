@@ -319,7 +319,9 @@ class TestVectorsOfNonNumbers:
         ("alpha", lambda v: rd.RankParameters(alpha=v, sigma=[1.0])),
         ("sigma", lambda v: rd.RankParameters(alpha=[0.1, 0.0, -0.1],
                                               sigma=v)),
-    ], ids=["ranked_shares", "alpha", "sigma"])
+        ("shares", lambda v: rd.group_shares(v, ((0, 100),))),
+        ("alpha", rd.recenter),
+    ], ids=["ranked_shares", "alpha", "sigma", "group_shares", "recenter"])
     def test_rejected_naming_the_field(self, field, make, values):
         with pytest.raises(rd.RankModelError,
                            match=f"{field} must hold numbers"):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from rankdist import simulate
 from rankdist.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -99,6 +100,32 @@ def digests(case: str, work: Path) -> dict:
 def test_cli_outputs_match_golden(case, tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
     assert digests(case, tmp_path) == expected
+
+
+@pytest.mark.parametrize("case", ["calibrate", "report", "tax_scenario4"])
+def test_outputs_do_not_depend_on_the_core_count(case, tmp_path,
+                                                 monkeypatch):
+    # The writers' pool and the report pool take one thread per core; the
+    # BLAS variables the child-process tests set size neither.
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        work = tmp_path / f"cores{cores}"
+        work.mkdir()
+        assert digests(case, work) == expected, f"{cores} core(s)"
+
+
+def test_simulate_does_not_depend_on_the_draw_worker(tmp_path, monkeypatch):
+    # At n = 10^4 the next step's shocks are drawn on a worker thread;
+    # raising the threshold past n draws them inline.
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[
+        "simulate_seed7"]
+    assert N >= simulate._WORKER_DRAW_MIN_N
+    for min_n in (simulate._WORKER_DRAW_MIN_N, N + 1):
+        monkeypatch.setattr(simulate, "_WORKER_DRAW_MIN_N", min_n)
+        work = tmp_path / f"min{min_n}"
+        work.mkdir()
+        assert digests("simulate_seed7", work) == expected, min_n
 
 
 def write_golden() -> None:

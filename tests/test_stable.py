@@ -163,6 +163,13 @@ class TestAlphaFromShares:
         with pytest.raises(rd.RankModelError, match="sigma must hold"):
             rd.alpha_from_shares(s, ["a", "b"])
 
+    def test_nan_sigma_named_as_sigma(self):
+        # The NaN spreads into alpha; the error still names sigma.
+        s = rd.make_ranked_shares([0.6, 0.3, 0.1])
+        with pytest.raises(rd.RankModelError,
+                           match="sigma contains non-finite"):
+            rd.alpha_from_shares(s, [0.3, np.nan])
+
 
 class TestCheckStability:
     def test_stable(self):
