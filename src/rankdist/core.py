@@ -492,6 +492,8 @@ def group_shares(shares, brackets: Sequence[Bracket]) -> GroupedShares:
     """
     vec = shares.shares if isinstance(shares, RankedShares) else \
         _as_float_array(shares, "shares")
+    if vec.ndim != 1:
+        raise RankModelError("shares must be a 1-D vector")
     n = vec.size
     cums = np.concatenate([[0.0], prefix_sum(vec)])
     out = np.empty(len(brackets))

@@ -26,7 +26,6 @@ from .core import (
     _as_float_array,
     _thread_count,
 )
-from .calibration import PiecewiseLogLogFit
 
 __all__ = [
     "read_grouped_shares",
@@ -225,12 +224,9 @@ def _cell_words(x: np.ndarray) -> np.ndarray:
             break
         k[moved] += off[moved]
         digits[moved], up[moved] = _scaled(m[moved], e[moved], k[moved])
+    # No carry into 10^17: that needs a double within 5e-18 relative below
+    # a power of ten, and the closest in this range is 4.5e-17 (at 1e-7).
     digits += up
-    # 99...9.5 rounds into the next decade.  No double in this range comes
-    # that close to a power of ten, but the rule keeps D exact regardless.
-    carry = digits == _U64(10 ** 17)
-    digits[carry] = 10 ** 16
-    k += carry
 
     lead = digits // _U64(10 ** 16)
     rest = digits - lead * _U64(10 ** 16)
@@ -338,7 +334,9 @@ def write_fit_csv(path, shares) -> None:
                  shares)
 
 
-def write_fit_report(path, fit: PiecewiseLogLogFit) -> None:
+def write_fit_report(path, fit) -> None:
+    """``fit``, a :class:`~rankdist.calibration.PiecewiseLogLogFit`, as
+    indented JSON."""
     write_lines(path, [json.dumps(dataclasses.asdict(fit), indent=2)])
 
 

@@ -32,7 +32,7 @@ from .core import (
     TaxSchedule,
     TrendSpec,
     UnknownScenarioError,
-    _as_float_array,
+    _as_float_vector,
     as_integer,
     group_shares,
     per_rank_values,
@@ -100,7 +100,7 @@ def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
 
 def recenter(alpha) -> np.ndarray:
     """Subtract the mean so the vector sums to zero (idempotent)."""
-    alpha = _as_float_array(alpha, "alpha")
+    alpha = _as_float_vector(alpha, "alpha")
     return alpha - alpha.mean()
 
 

@@ -14,19 +14,15 @@ Two simulators:
 
 Randomness is counter-based: every step draws from a Philox generator keyed
 by (seed, step), so results are byte-identical regardless of how the work is
-scheduled across threads.  :func:`simulate_ranked` uses that: from n = 8,192
-up (``_WORKER_DRAW_MIN_N``) it draws step s + 1's shocks on one worker
-thread while step s re-ranks, records and updates, which took a step at
-n = 10**5 from 5.8 to 4.3 ms on two cores.  Below that n, handing the draw
-over costs more than it saves (4.2x the inline time at n = 10, about 1.15x at
-n = 4,100), so the draw runs in the calling thread.
+scheduled across threads.  :func:`simulate_ranked` uses that: from
+``_WORKER_DRAW_MIN_N`` up it draws step s + 1's shocks on one worker thread
+while step s re-ranks, records and updates.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +32,7 @@ from .core import (
     RankedShares,
     RankModelError,
     RankParameters,
+    _as_float_array,
     _freeze,
     as_brackets,
     as_finite,
@@ -123,7 +120,8 @@ def _step_count(span: float, dt: float, name: str, least: int = 0) -> int:
 
 @dataclass(frozen=True)
 class SimulationPath:
-    """Recorded output of a ranked-particle run."""
+    """Recorded output of a ranked-particle run, as frozen float64 arrays;
+    a run that overflows records infinite gap averages."""
 
     times: np.ndarray
     group_shares: np.ndarray       # [time, bracket]
@@ -131,13 +129,19 @@ class SimulationPath:
     rank_gap_averages: np.ndarray  # length n - 1
 
     def __post_init__(self):
-        sums = self.group_shares.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= 1e-9):
+        times = _as_float_array(self.times, "times")
+        group = _as_float_array(self.group_shares, "group_shares")
+        gaps = _as_float_array(self.rank_gap_averages, "rank_gap_averages")
+        if group.ndim != 2:
+            raise RankModelError("group_shares must be 2-D [time, bracket]")
+        if not np.all(np.abs(group.sum(axis=1) - 1.0) <= 1e-9):
             raise RankModelError("recorded group shares must sum to 1")
-        if len(self.times) != len(self.group_shares):
+        if times.shape != group.shape[:1]:
             raise RankModelError("times must hold one entry per recorded row")
-        if len(self.rank_gap_averages) != self.final_shares.n - 1:
+        if gaps.shape != (self.final_shares.n - 1,):
             raise RankModelError("rank_gap_averages must have n - 1 entries")
+        _freeze(self, times=times, group_shares=group,
+                rank_gap_averages=gaps)
 
 
 def _philox(seed: int, step: int) -> np.random.Generator:
@@ -194,12 +198,12 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
         u = rng.random(m)
         incr = -kappa * dt + sigma * np.sqrt(dt) * z
         y = y_last + np.cumsum(incr)
-        y_prev = np.concatenate([[y_last], y[:-1]])
-        # Exact within-step minimum of the Brownian bridge from y_prev to y.
-        d = y - y_prev
-        bridge_min = y_prev + 0.5 * (
-            d - np.sqrt(d * d - 2.0 * sigma * sigma * dt * np.log(u)))
-        mins = np.minimum.accumulate(np.minimum(bridge_min, run_min))
+        # Exact within-step minimum of the Brownian bridge that ends at y
+        # after the increment incr; the running minimum carries over.
+        lows = y - 0.5 * (
+            incr + np.sqrt(incr * incr - 2.0 * sigma * sigma * dt * np.log(u)))
+        lows[0] = min(lows[0], run_min)
+        mins = np.minimum.accumulate(lows)
         x = y - np.minimum(0.0, mins)
         total += float(x[max(skip - start, 0):].sum())
         y_last = float(y[-1])
@@ -212,10 +216,11 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
 #: handing it to the worker and back costs about 0.1 ms per step, which a
 #: draw of under about 5,000 normals does not win back.  Time per step with
 #: the worker over time inline (2-core Xeon VM, Python 3.11, numpy 2.4;
-#: median of 7-9 alternating runs on two inputs, bits equal at every n):
+#: median of paired ratios over 7 and 11 alternating runs, bits equal at
+#: every n; 10^4 and 10^5 are the benchmark's monte_carlo systems):
 #:
-#:     n        10    1,000    2,000    4,100    6,000    8,200     10^4  10^5
-#:     ratio   4.2  1.6-2.0  1.5-1.8  1.1-1.2  0.9-1.1  0.8-0.9  0.8-0.9  0.75
+#:     n        10    1,000  2,000    4,100  6,000    8,192       10^4  10^5
+#:     ratio 3.2-3.4 1.7-2.1  1.25  1.0-1.1   0.99  0.86-0.88  0.82-0.87  0.70
 #:
 #: The rule reads only n; 8,192 is the first power of two past the noise.
 _WORKER_DRAW_MIN_N = 8192
@@ -244,16 +249,13 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
     lexsort by (log-wealth descending, particle id), which is the stable rule
     itself.
 
-    From n = ``_WORKER_DRAW_MIN_N`` (8,192) up, step s + 1's shocks are
-    drawn on one worker thread while step s re-ranks, records and updates;
-    numpy releases the GIL in both the argsort and the Philox draw, so on
-    two cores they overlap (a step at n = 10**5: 5.8 ms inline, 4.3 ms with
-    the worker).  Each draw is still ``_philox(seed, step)`` read through
-    the module, so the output bits do not depend on where it ran.  Below the
-    crossover no thread starts: the hand-over costs about 0.1 ms a step,
-    4.2x the inline step at n = 10 and about 1.15x at n = 4,100.  The worker
-    is joined before the call returns or raises, and a draw's exception
-    reaches the caller.
+    From n = ``_WORKER_DRAW_MIN_N`` up, step s + 1's shocks are drawn on
+    one worker thread while step s re-ranks, records and updates; numpy
+    releases the GIL in both the argsort and the Philox draw, so on two
+    cores they overlap.  Each draw is still ``_philox(seed, step)`` read
+    through the module, so the output bits do not depend on where it ran.
+    Below the crossover no thread starts.  The worker is joined before the
+    call returns or raises, and a draw's exception reaches the caller.
     """
     n = config.n
     if params.n != n or initial.n != n:
@@ -292,18 +294,15 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
         return _philox(config.seed, step).standard_normal(n)
 
     # One sort per step: ranks are read off, the pre-update state is
-    # recorded/accumulated, then the update is applied in rank order.  The
-    # next step's shocks are fetched by a callable: from n at the crossover
-    # up, the result of a draw already running on the worker; below it, the
-    # draw itself.  No worker thread starts below the crossover, and the
-    # ``with`` joins the one that did on return or on any exception.
+    # recorded/accumulated, then the update is applied in rank order.  From
+    # the crossover up, a step's shocks are the result of the draw pending
+    # on the worker since the step before; below it, no worker thread
+    # starts and the step draws its own.  The ``with`` joins the worker on
+    # return or on any exception.
+    ahead = n >= _WORKER_DRAW_MIN_N
     with ThreadPoolExecutor(max_workers=1) as pool:
-        def draw_ahead(step: int):
-            if n < _WORKER_DRAW_MIN_N:
-                return partial(draw, step)
-            return pool.submit(draw, step).result
-
-        next_shocks = draw_ahead(0)
+        if ahead:
+            pending = pool.submit(draw, 0)
         for step in range(steps):
             order = np.argsort(-sorted_lw)
             keys = sorted_lw[order]
@@ -312,18 +311,17 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
                 keys = sorted_lw[order]
             sorted_lw = keys
             ids = ids[order]
-            gap_sums += -np.diff(sorted_lw)
+            gap_sums -= np.diff(sorted_lw)
             if step > 0 and step % record_stride == 0:
                 record(sorted_lw, step * config.dt)
-            shocks = next_shocks()
-            if step + 1 < steps:
-                next_shocks = draw_ahead(step + 1)
+            shocks = pending.result() if ahead else draw(step)
+            if ahead and step + 1 < steps:
+                pending = pool.submit(draw, step + 1)
             sorted_lw = sorted_lw + drift_step + shock_step * shocks[ids]
 
     final = RankedShares(shares=record(np.sort(sorted_lw)[::-1],
                                        steps * config.dt))
-    return SimulationPath(times=np.asarray(times),
-                          group_shares=np.asarray(recorded),
+    return SimulationPath(times=times, group_shares=recorded,
                           final_shares=final,
                           rank_gap_averages=gap_sums / steps)
 

@@ -86,7 +86,12 @@ class TestFrozenFieldsLeaveCallerArraysAlone:
         (4, lambda a: rd.RankedShares(shares=a), "shares"),
         (4, lambda a: rd.RankParameters(alpha=a, sigma=np.ones(3)),
          "alpha"),
-    ], ids=["trend", "tax", "grouped", "volatility", "ranked", "params"])
+        (4, lambda a: rd.SimulationPath(
+            times=[1.0], group_shares=[[1.0]],
+            final_shares=rd.RankedShares(shares=np.full(5, 0.2)),
+            rank_gap_averages=a), "rank_gap_averages"),
+    ], ids=["trend", "tax", "grouped", "volatility", "ranked", "params",
+            "path"])
     def test_caller_array_stays_writable(self, size, make, field):
         values = np.full(size, 1.0 / size)
         frozen = getattr(make(values), field)
@@ -167,6 +172,13 @@ class TestGroupShares:
         vec = np.array([0.7, 0.3, 0.0, 0.0])
         g = rd.group_shares(vec, [(0, 50), (50, 100)])
         np.testing.assert_allclose(g.shares, [1.0, 0.0])
+
+    @pytest.mark.parametrize("shares", [np.ones((2, 2)) / 4, 1.0],
+                             ids=["2d", "scalar"])
+    def test_not_a_vector_rejected(self, shares):
+        # A 2-D table is not read as a vector of its n = 4 cells.
+        with pytest.raises(rd.RankModelError, match="1-D"):
+            rd.group_shares(shares, ((0, 50), (50, 100)))
 
 
 class TestGroupedSharesValidation:

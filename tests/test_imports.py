@@ -4,7 +4,9 @@ No module imports a name it never uses, in the package or in its tests:
 no linter is part of the toolchain, so a small ``ast`` pass stands in for
 the unused-import check (the package's ``__init__`` is skipped: its imports
 are the package's public names).
-And the package runs on numpy alone: importing it loads no scipy.
+The package's modules import each other only along one declared graph
+(``LAYERS``).  And the package runs on numpy alone: importing it loads no
+scipy.
 """
 
 import ast
@@ -44,6 +46,57 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: The sibling modules each package module may import; ``cli`` may import
+#: any of them.  A module missing here fails the test until it is placed.
+LAYERS = {
+    "core": set(),
+    "stable": {"core"},
+    "calibration": {"core", "stable"},
+    "scenarios": {"core", "stable"},
+    "simulate": {"core", "stable"},
+    "fileio": {"core"},
+}
+LAYERS["cli"] = set(LAYERS)
+PACKAGE = sorted(path for path in MODULES
+                 if path.parent == Path(rankdist.__file__).parent)
+
+
+def sibling_imports(source: str):
+    """The package modules a module's source imports, relative or by
+    ``rankdist.`` name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "rankdist":
+                    continue
+                module = module[len("rankdist."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import fileio
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("rankdist."))
+    return found
+
+
+def test_finds_sibling_imports():
+    assert sibling_imports(
+        "import numpy\nimport rankdist.stable\nfrom . import fileio\n"
+        "from .core import prefix_sum\nfrom rankdist.cli import main\n"
+        "from rankdist import simulate\n") == {
+            "stable", "fileio", "core", "cli", "simulate"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)
+def test_imports_follow_layers(path):
+    assert path.stem in LAYERS, f"{path.stem} has no place in LAYERS"
+    imported = sibling_imports(path.read_text(encoding="utf-8"))
+    assert imported <= LAYERS[path.stem], sorted(imported - LAYERS[path.stem])
 
 
 def test_import_loads_no_scipy(cli_env):

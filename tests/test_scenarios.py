@@ -70,6 +70,16 @@ class TestRecenter:
         np.testing.assert_allclose(rd.recenter(once), once, atol=1e-15)
         np.testing.assert_allclose(rd.recenter(alpha + 3.7), once, atol=1e-13)
 
+    @pytest.mark.parametrize("alpha, message", [
+        ([], "nonempty 1-D"),
+        ([[1.0, 2.0], [3.0, 4.0]], "nonempty 1-D"),
+        ([0.1, np.nan], "non-finite"),
+        ([0.1, np.inf], "non-finite"),
+    ], ids=["empty", "2d", "nan", "inf"])
+    def test_not_a_finite_vector_rejected(self, alpha, message):
+        with pytest.raises(rd.RankModelError, match=f"alpha .*{message}"):
+            rd.recenter(alpha)
+
 
 class TestPresetScenario:
     def test_scenario_one_empty(self):

@@ -454,6 +454,38 @@ class TestWorkerDraw:
         assert len(threading.enumerate()) == len(before)
 
 
+class TestSimulationPathArrays:
+    """A path converts its arrays to float64 and freezes them, as every
+    other public type does."""
+
+    def path(self, **overrides):
+        return rd.SimulationPath(**{**dict(
+            times=[1.0, 2.0], group_shares=[[0.25, 0.75], [0.5, 0.5]],
+            final_shares=rd.RankedShares(shares=np.full(4, 0.25)),
+            rank_gap_averages=[0.5, 0.25, np.inf]), **overrides})
+
+    def test_lists_converted_and_frozen(self):
+        path = self.path()
+        for name in ("times", "group_shares", "rank_gap_averages"):
+            values = getattr(path, name)
+            assert values.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 5
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(group_shares=[0.5, 0.5]), "2-D"),
+        (dict(group_shares=[[["x"]]]), "group_shares must hold numbers"),
+        (dict(times=[[1.0, 2.0]]), "one entry per recorded row"),
+        (dict(times="ab"), "times must hold numbers"),
+        (dict(rank_gap_averages=[[0.5, 0.25, 0.1]]), "n - 1 entries"),
+        (dict(rank_gap_averages=0.5), "n - 1 entries"),
+    ], ids=["one_d_shares", "shares_not_numbers", "two_d_times",
+            "times_not_numbers", "two_d_gaps", "scalar_gap"])
+    def test_misshapen_rejected(self, overrides, message):
+        with pytest.raises(rd.RankModelError, match=message):
+            self.path(**overrides)
+
+
 class TestGapAverageReport:
     def test_exact_match_zero_errors(self):
         predicted = rd.StableGaps(gaps=np.array([0.5, 0.25, 0.125]))
