@@ -88,9 +88,10 @@ class RunConfig:
 
 
 def _load_config(args) -> RunConfig:
-    raw = {}
+    raw, config_dir = {}, Path()
     if args.config is not None:
         path = Path(args.config)
+        config_dir = path.parent
         try:
             # utf-8-sig: an editor may save the file with a BOM.
             raw = json.loads(path.read_text(encoding="utf-8-sig"))
@@ -111,10 +112,7 @@ def _load_config(args) -> RunConfig:
             if not isinstance(value, str):
                 raise RankModelError(f"{key} must be a path string, got "
                                      f"{value!r}")
-            raw[key] = path.parent / value
-        scenario = raw.get("scenario")
-        if isinstance(scenario, str) and not scenario.isdecimal():
-            raw["scenario"] = str(path.parent / scenario)
+            raw[key] = config_dir / value
 
     n = as_integer(raw.get("n", 1_000_000), "n", 2)
     sigma_variant = args.sigma or raw.get("sigma_variant", "low")
@@ -125,14 +123,15 @@ def _load_config(args) -> RunConfig:
     volatility = (fileio.read_volatility_table(vol_path) if vol_path
                   else default_volatility_table())
 
-    scenario = getattr(args, "scenario", None)
+    scenario, base = getattr(args, "scenario", None), Path()
     if scenario is None:
-        scenario = raw.get("scenario", 1)
-    if isinstance(scenario, str):
-        trend = (preset_scenario(int(scenario)) if scenario.isdecimal()
-                 else fileio.read_trend(scenario))
-    else:
+        scenario, base = raw.get("scenario", 1), config_dir
+    if not isinstance(scenario, str):
         trend = preset_scenario(scenario)
+    elif scenario.isdecimal():
+        trend = preset_scenario(int(scenario))
+    else:
+        trend = fileio.read_trend(base / scenario)
     tax_path = raw.get("tax")
     tax = fileio.read_tax(tax_path) if tax_path else default_capital_tax()
 
@@ -241,16 +240,17 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
-#: name -> (handler, help text, whether it takes --scenario).
+#: name -> (handler, the optional flags it takes, help text).
 _COMMANDS = {
-    "calibrate": (cmd_calibrate,
-                  "fit grouped data and emit per-rank parameters", False),
-    "project": (lambda cfg: _cmd_projection(cfg, None),
-                "solve the limit distribution under a trend scenario", True),
-    "tax": (lambda cfg: _cmd_projection(cfg, cfg.tax),
-            "project under trend plus capital-tax adjustment", True),
-    "simulate": (cmd_simulate, "run the ranked-particle Monte Carlo", True),
-    "report": (cmd_report, "summarize the full scenario/tax grid", False),
+    "calibrate": (cmd_calibrate, (),
+                  "fit grouped data and emit per-rank parameters"),
+    "project": (lambda cfg: _cmd_projection(cfg, None), ("--scenario",),
+                "solve the limit distribution under a trend scenario"),
+    "tax": (lambda cfg: _cmd_projection(cfg, cfg.tax), ("--scenario",),
+            "project under trend plus capital-tax adjustment"),
+    "simulate": (cmd_simulate, ("--scenario", "--seed"),
+                 "run the ranked-particle Monte Carlo"),
+    "report": (cmd_report, (), "summarize the full scenario/tax grid"),
 }
 
 
@@ -265,16 +265,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rank-based wealth distribution model: calibration, "
                     "projection, capital-tax analysis, and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, help_text, takes_scenario) in _COMMANDS.items():
+    for name, (_handler, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
-        if takes_scenario:
+        if "--scenario" in flags:
             p.add_argument("--scenario",
                            help="trend preset 1..4 or a trend CSV")
         p.add_argument("--sigma", choices=["low", "high"],
                        help="volatility variant")
         p.add_argument("--out", help="output directory")
-        if name == "simulate":
+        if "--seed" in flags:
             p.add_argument("--seed", type=int, required=False,
                            help="simulation seed (required unless in config)")
     return parser

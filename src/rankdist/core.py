@@ -203,7 +203,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 def check_zero_sum(alpha: np.ndarray) -> None:
     """Raise :class:`BadAlphaSumError` unless alpha sums to zero, to 1e-9 of
     its largest magnitude (or absolutely, when that is below one)."""
-    scale = max(1.0, float(np.max(np.abs(alpha)))) if alpha.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(alpha))))
     if abs(float(alpha.sum())) > 1e-9 * scale:
         raise BadAlphaSumError(f"alpha sums to {alpha.sum():.3e}, expected 0")
 
@@ -459,12 +459,10 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
     ``(0, 0.01)`` at n = 10**6 maps to ranks (1, 100).  Boundaries must land
     on integer ranks for the given n.
     """
-    lo_pct, hi_pct = as_pair(bracket, "bracket")
+    bracket, = as_brackets([bracket], "bracket", partition=False)
     n = as_integer(n, "n", 1)
-    if not (0.0 <= lo_pct < hi_pct <= 100.0):
-        raise RankModelError(f"invalid bracket ({lo_pct}, {hi_pct})")
-    ranks = [pct * n / 100.0 for pct in (lo_pct, hi_pct)]
-    for pct, exact in zip((lo_pct, hi_pct), ranks):
+    ranks = [pct * n / 100.0 for pct in bracket]
+    for pct, exact in zip(bracket, ranks):
         if abs(exact - round(exact)) > 1e-6 * max(1.0, exact):
             raise NonIntegerBoundaryError(
                 f"bracket boundary {pct}% maps to non-integer rank {exact} "

@@ -55,6 +55,14 @@ __all__ = [
     "project",
 ]
 
+#: Trend presets by id: (brackets, annual growth per bracket).
+_PRESETS = {
+    1: ((), ()),
+    2: (((0.0, 0.01), (10.0, 100.0)), (0.01, -0.005)),
+    3: (((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)), (0.015, 0.005, -0.01)),
+    4: (((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)), (0.03, 0.01, -0.015)),
+}
+
 
 @dataclass(frozen=True)
 class ProjectionOutcome:
@@ -117,16 +125,7 @@ def preset_scenario(scenario_id: int) -> TrendSpec:
     except RankModelError:
         raise UnknownScenarioError(f"scenario must be an integer in 1..4, "
                                    f"got {scenario_id!r}") from None
-    if scenario_id == 1:
-        return TrendSpec()
-    if scenario_id == 2:
-        return TrendSpec(brackets=((0.0, 0.01), (10.0, 100.0)),
-                         growth=np.array([0.01, -0.005]))
-    if scenario_id == 3:
-        return TrendSpec(brackets=((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)),
-                         growth=np.array([0.015, 0.005, -0.01]))
-    return TrendSpec(brackets=((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)),
-                     growth=np.array([0.03, 0.01, -0.015]))
+    return TrendSpec(*_PRESETS[scenario_id])
 
 
 def default_capital_tax() -> TaxSchedule:

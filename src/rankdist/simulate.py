@@ -67,11 +67,12 @@ class SimConfig:
     and ``horizon / dt`` must round to at least one step (:attr:`steps`).
 
     ``drift_clip`` caps |alpha| (per year) before stepping.  Calibrated
-    bottom-boundary growth rates reach thousands per year — they proxy for
-    continuous-time local-time reflection, and feeding them into a discrete
-    Euler step at dt ~ 0.01-0.1 makes the step explode.  Clipping drops the
-    excess drift, which moves the limit (n = 10**5, scenario 1, clip 2: top
-    0.01% 9.11% where the closed form gives 11.10%).
+    bottom-boundary growth rates grow in proportion to n (see the README's
+    simulator notes); they proxy for continuous-time local-time reflection,
+    and feeding them into a discrete Euler step at dt ~ 0.01-0.1 makes the
+    step explode.  Clipping drops the excess drift, which moves the limit
+    (n = 10**5, scenario 1, clip 2: top 0.01% 9.11% where the closed form
+    gives 11.10%).
     """
 
     n: int
@@ -129,6 +130,8 @@ class SimulationPath:
     rank_gap_averages: np.ndarray  # length n - 1
 
     def __post_init__(self):
+        if not isinstance(self.final_shares, RankedShares):
+            raise RankModelError("final_shares must be a RankedShares")
         times = _as_float_array(self.times, "times")
         group = _as_float_array(self.group_shares, "group_shares")
         gaps = _as_float_array(self.rank_gap_averages, "rank_gap_averages")
@@ -328,6 +331,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
 
 def gap_average_report(path: SimulationPath, predicted: StableGaps) -> dict:
     """Per-rank relative errors of simulated vs predicted positive gaps."""
+    if not isinstance(predicted, StableGaps):
+        raise RankModelError("predicted must be a StableGaps")
     empirical = path.rank_gap_averages
     if empirical.size != predicted.gaps.size:
         raise RankModelError("simulated and predicted gap lengths differ")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     GroupUnstableError,
+    NonPositiveSigmaError,
     NotDivergentError,
     RankedShares,
     RankModelError,
@@ -82,7 +83,8 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
 
     Used by the projection engine, where trend- or tax-adjusted growth rates
     carry nonzero aggregate drift by construction.  Raises
-    :class:`UnstableError` at the first nonnegative prefix sum.
+    :class:`UnstableError` at the first nonnegative prefix sum, and
+    :class:`NonPositiveSigmaError` unless every sigma is positive.
     """
     sums = _as_float_array(sums, "sums")
     if np.any(sums >= 0):
@@ -90,6 +92,8 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
     sigma = _as_float_array(sigma, "sigma")
     if sigma.size != sums.size:
         raise RankModelError("sigma and prefix sums differ in length")
+    if not np.all(sigma > 0):
+        raise NonPositiveSigmaError("all sigma values must be positive")
     return StableGaps(gaps=sigma ** 2 / (-4.0 * sums))
 
 

@@ -123,6 +123,13 @@ class TestBracketToRanks:
         with pytest.raises(rd.RankModelError, match="invalid bracket"):
             rd.bracket_to_ranks(bracket, 1000)
 
+    @pytest.mark.parametrize("bracket", [(20, 10), (5, 5), (10, 101)],
+                             ids=["reversed", "empty", "above_100"])
+    def test_invalid_bracket_same_class_as_in_a_table(self, bracket):
+        # One rule for a bracket alone and for a bracket in a table.
+        with pytest.raises(rd.BracketGapError, match="invalid bracket"):
+            rd.bracket_to_ranks(bracket, 1000)
+
     @pytest.mark.parametrize("bracket", [("0", "10"), (0, True), (np.nan, 10),
                                          (0, 10, 20), "ab"],
                              ids=["strings", "bool", "nan", "triple",
@@ -179,6 +186,10 @@ class TestGroupShares:
         # A 2-D table is not read as a vector of its n = 4 cells.
         with pytest.raises(rd.RankModelError, match="1-D"):
             rd.group_shares(shares, ((0, 50), (50, 100)))
+
+    def test_reversed_bracket_is_a_bracket_gap_error(self):
+        with pytest.raises(rd.BracketGapError, match="invalid bracket"):
+            rd.group_shares(np.full(100, 0.01), ((20, 10),))
 
 
 class TestGroupedSharesValidation:

@@ -485,6 +485,13 @@ class TestSimulationPathArrays:
         with pytest.raises(rd.RankModelError, match=message):
             self.path(**overrides)
 
+    def test_final_shares_must_be_ranked_shares(self):
+        with pytest.raises(rd.RankModelError,
+                           match="final_shares must be a RankedShares"):
+            rd.SimulationPath(times=[1.0], group_shares=[[1.0]],
+                              final_shares=[0.5, 0.5],
+                              rank_gap_averages=[0.1])
+
 
 class TestGapAverageReport:
     def test_exact_match_zero_errors(self):
@@ -541,6 +548,16 @@ class TestGapAverageReport:
             rank_gap_averages=np.zeros(0))
         with pytest.raises(rd.RankModelError, match="no gap to compare"):
             rd.gap_average_report(path, rd.StableGaps(gaps=np.zeros(0)))
+
+    def test_predicted_must_be_stable_gaps(self):
+        path = rd.SimulationPath(
+            times=np.array([1.0]),
+            group_shares=np.array([[1.0]]),
+            final_shares=rd.RankedShares(shares=np.full(2, 0.5)),
+            rank_gap_averages=np.array([0.1]))
+        with pytest.raises(rd.RankModelError,
+                           match="predicted must be a StableGaps"):
+            rd.gap_average_report(path, [0.1])
 
     def test_dimension_mismatch(self):
         predicted = rd.StableGaps(gaps=np.array([0.5, 0.25]))

@@ -88,6 +88,13 @@ class TestStableGaps:
         with pytest.raises(rd.RankModelError, match=f"{name} must hold"):
             gaps_from_prefix_sums(sums, sigma)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, np.nan],
+                             ids=["negative", "zero", "nan"])
+    def test_prefix_sum_sigma_must_be_positive(self, sigma):
+        # The closed form squares sigma, so a bad sign would pass unseen.
+        with pytest.raises(rd.NonPositiveSigmaError):
+            gaps_from_prefix_sums([-0.3], [sigma])
+
     def test_scale_invariance(self):
         # Doubling sigma multiplies gaps by exactly 4 (power-of-two scaling
         # is exact in floating point).
