@@ -479,18 +479,13 @@ class TestSimulationPathArrays:
         (dict(times="ab"), "times must hold numbers"),
         (dict(rank_gap_averages=[[0.5, 0.25, 0.1]]), "n - 1 entries"),
         (dict(rank_gap_averages=0.5), "n - 1 entries"),
+        (dict(final_shares=[0.25] * 4), "final_shares must be a RankedShares"),
     ], ids=["one_d_shares", "shares_not_numbers", "two_d_times",
-            "times_not_numbers", "two_d_gaps", "scalar_gap"])
+            "times_not_numbers", "two_d_gaps", "scalar_gap",
+            "final_shares_not_ranked"])
     def test_misshapen_rejected(self, overrides, message):
         with pytest.raises(rd.RankModelError, match=message):
             self.path(**overrides)
-
-    def test_final_shares_must_be_ranked_shares(self):
-        with pytest.raises(rd.RankModelError,
-                           match="final_shares must be a RankedShares"):
-            rd.SimulationPath(times=[1.0], group_shares=[[1.0]],
-                              final_shares=[0.5, 0.5],
-                              rank_gap_averages=[0.1])
 
 
 class TestGapAverageReport:
