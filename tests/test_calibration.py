@@ -151,16 +151,22 @@ class TestFitPiecewisePareto:
         assert np.abs(grouped.shares - TARGET_2012.shares).sum() == \
             pytest.approx(fit.fit_error, rel=1e-9)
 
-    @pytest.mark.parametrize("n, slopes, fit_error, nfev, restarts", [
-        (10**6, (-0.8003283180980056, -0.7401718151535341,
-                 -1.7386817812035487), 0.0008012179281869508, 301, 1),
-        (10**5, (-1.0455787637379705, -0.7416938549309425,
-                 -1.7370004215795634), 0.0014656670413771694, 4087, 8),
-    ], ids=["n1e6", "n1e5"])
-    def test_2012_target_large_n_pinned(self, monkeypatch, n, slopes,
+    @pytest.mark.parametrize("n, knees, slopes, fit_error, nfev, restarts", [
+        (10**6, calibration.DEFAULT_BREAKPOINTS,
+         (-0.8003283180980056, -0.7401718151535341, -1.7386817812035487),
+         0.0008012179281869508, 301, 1),
+        (10**5, calibration.DEFAULT_BREAKPOINTS,
+         (-1.0455787637379705, -0.7416938549309425, -1.7370004215795634),
+         0.0014656670413771694, 4087, 8),
+        (10**4, (0.1, 10.0),
+         (-1.0959620015643359, -0.7440325026684493, -1.7360973107534878),
+         0.05949027597243228, 3710, 8),
+    ], ids=["n1e6", "n1e5", "n1e4"])
+    def test_2012_target_large_n_pinned(self, monkeypatch, n, knees, slopes,
                                         fit_error, nfev, restarts):
-        # The headline fits, bit for bit: the Nelder-Mead path (every
-        # restart, every evaluation) and the reported error must not move.
+        # The headline fits, and the small system of the benchmark's Monte
+        # Carlo set-up, bit for bit: the Nelder-Mead path (every restart,
+        # every evaluation) and the reported error must not move.
         results = []
         minimize = calibration.minimize
 
@@ -169,7 +175,7 @@ class TestFitPiecewisePareto:
             return results[-1]
 
         monkeypatch.setattr(calibration, "minimize", counting)
-        _shares, fit = rd.fit_piecewise_pareto(TARGET_2012, n)
+        _shares, fit = rd.fit_piecewise_pareto(TARGET_2012, n, knees)
         assert fit.slopes == slopes
         assert fit.fit_error == fit_error
         assert len(results) == restarts
