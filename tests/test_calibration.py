@@ -182,6 +182,68 @@ class TestFitPiecewisePareto:
         assert sum(r.nfev for r in results) == nfev
 
 
+def reference_bracket_sums(bounds, b1, b2, n):
+    """A frozen copy of the fit objective's closed-form bracket sums as they
+    were first written (one numpy expression per interval end), kept to pin
+    the current closure to the same bits."""
+    head_terms_max = 32
+    em_coeffs = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
+    knees = np.array([b1 + 1, b2 + 1])
+    cuts = np.union1d(bounds, knees)
+    first, last = cuts[:-1] + 1, cuts[1:]
+    bracket = np.searchsorted(bounds, last) - 1
+    piece = np.searchsorted(knees, first)
+    n_brackets = bounds.size - 1
+    log_knees = np.log(knees.astype(np.float64))
+    log_n = np.log(float(n))
+
+    count = np.minimum(last - first + 1, head_terms_max)
+    head = np.repeat(np.arange(first.size), count)
+    head_rank = first[head] + np.arange(count.sum()) - np.repeat(
+        np.cumsum(count) - count, count)
+    head_log = np.log(head_rank.astype(np.float64))
+    head_piece, head_bracket = piece[head], bracket[head]
+
+    tail = last - first + 1 > head_terms_max
+    lo = (first[tail] + head_terms_max).astype(np.float64)
+    hi = last[tail].astype(np.float64)
+    log_lo, log_hi, span = np.log(lo), np.log(hi), np.log(hi / lo)
+    tail_piece, tail_bracket = piece[tail], bracket[tail]
+
+    def corrections(s, x, fx):
+        total, falling = np.zeros_like(fx), s / x
+        for k, coeff in enumerate(em_coeffs):
+            total += coeff * falling
+            falling = falling * (s - 2 * k - 1) * (s - 2 * k - 2) / (x * x)
+        return fx * total
+
+    def sums(slopes):
+        s = np.asarray(slopes, dtype=np.float64)
+        c1 = (s[0] - s[1]) * log_knees[0]
+        c = np.array([0.0, c1, c1 + (s[1] - s[2]) * log_knees[1]])
+        top = max(0.0, s[0] * log_knees[0], c[1] + s[1] * log_knees[1],
+                  c[2] + s[2] * log_n)
+        shift = c - top
+
+        head_terms = np.exp(shift[head_piece] + s[head_piece] * head_log)
+        out = np.bincount(head_bracket, head_terms, minlength=n_brackets)
+
+        st, sh = s[tail_piece], shift[tail_piece]
+        f_lo, f_hi = np.exp(sh + st * log_lo), np.exp(sh + st * log_hi)
+        t = st + 1.0
+        rate = np.abs(t)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shape = np.where(t == 0.0, span,
+                             -np.expm1(-rate * span) / rate)
+        integral = np.where(t > 0.0, f_hi * hi, f_lo * lo) * shape
+        tails = (integral + 0.5 * (f_lo + f_hi)
+                 + corrections(st, hi, f_hi) - corrections(st, lo, f_lo))
+        out += np.bincount(tail_bracket, tails, minlength=n_brackets)
+        return out / out.sum()
+
+    return sums
+
+
 class TestClosedFormBracketSums:
     """The fit's objective sums each bracket in closed form; it must agree
     with the bracket sums of the dense fill-in it stands for."""
@@ -206,6 +268,29 @@ class TestClosedFormBracketSums:
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
         np.testing.assert_allclose(sums(slopes), np.diff(cums[bounds]),
                                    rtol=0, atol=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([10**4, 10**5, 10**6]),
+           breakpoints=st.sampled_from([(0.01, 10.0), (0.1, 10.0),
+                                        (0.1, 1.0), (0.5, 40.0)]),
+           slopes=st.tuples(SLOPE, SLOPE, SLOPE))
+    @example(n=10**5, breakpoints=(0.01, 10.0), slopes=(-1.0, -1.0, -1.0))
+    @example(n=10**4, breakpoints=(0.1, 10.0), slopes=(-0.8, -1.0, -1.7))
+    @example(n=10**6, breakpoints=(0.1, 1.0), slopes=(-2.5, -2.5, -0.3))
+    @example(n=10**5, breakpoints=(0.5, 40.0), slopes=(-0.0, 0.0, -0.0))
+    @example(n=10**6, breakpoints=(0.01, 10.0), slopes=(-300.0, 0.0, 0.0))
+    @example(n=10**6, breakpoints=(0.01, 10.0), slopes=(0.0, 0.0, 300.0))
+    @example(n=10**6, breakpoints=(0.01, 10.0), slopes=(50.0, -80.0, 40.0))
+    def test_bitwise_equal_to_reference(self, n, breakpoints, slopes):
+        # Same IEEE operations on each element, so the same bits: the
+        # pinned fits follow from this for every slope Nelder-Mead tries.
+        slopes = np.array(slopes)
+        bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                                 for b in TARGET_2012.brackets])
+        b1, b2 = calibration._knees(n, breakpoints)
+        ours = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
+        ref = reference_bracket_sums(bounds, b1, b2, n)
+        np.testing.assert_array_equal(ours(slopes), ref(slopes))
 
     def test_extreme_slopes_stay_finite(self):
         n = 10**6
