@@ -25,7 +25,7 @@ from .core import (
     RankModelError,
     RankParameters,
     VolatilityTable,
-    _as_float_array,
+    _as_float_vector,
     as_finite,
     as_integer,
     as_pair,
@@ -107,7 +107,11 @@ def volatility_from_components(investment_sd: float,
     low variant sets labor_rel_sd = 0, giving sqrt(2) * investment_sd.
     """
     investment_sd = as_finite(investment_sd, "investment_sd")
-    labor = _as_float_array(labor_rel_sd, "labor_rel_sd")
+    labor = _as_float_vector(labor_rel_sd, "labor_rel_sd")
+    if labor.size != len(_DEFAULT_VOL_BRACKETS):
+        raise RankModelError(f"labor_rel_sd must hold one value per bracket "
+                             f"({len(_DEFAULT_VOL_BRACKETS)}), not "
+                             f"{labor.size}")
     if investment_sd < 0 or np.any(labor < 0):
         raise NegativeInputError("standard deviations must be nonnegative")
     high = np.sqrt(2.0 * (investment_sd ** 2 + labor ** 2))
@@ -162,6 +166,11 @@ def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
     half end terms, B2..B8 corrections).  Every term is scaled by the
     largest knot value, which bounds the whole curve, so no slope overflows.
     ``bounds`` are the bracket ends in rank, from 0 to n.
+
+    Each call evaluates the curve once, at one array of points: the head
+    ranks of every interval, then the upper ends ``hi`` of the intervals
+    with a tail, then their lower ends ``lo``.  The ends [hi, lo] are
+    stacked, so the corrections run once over both.
     """
     knees = np.array([b1 + 1, b2 + 1])
     cuts = np.union1d(bounds, knees)
@@ -169,53 +178,68 @@ def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
     bracket = np.searchsorted(bounds, last) - 1
     piece = np.searchsorted(knees, first)
     n_brackets = bounds.size - 1
-    log_knees = np.log(knees.astype(np.float64))
-    log_n = np.log(float(n))
+    log_b1, log_b2 = np.log(knees.astype(np.float64)).tolist()
+    log_n = float(np.log(float(n)))
 
     count = np.minimum(last - first + 1, _HEAD_TERMS)
     head = np.repeat(np.arange(first.size), count)
     head_rank = first[head] + np.arange(count.sum()) - np.repeat(
         np.cumsum(count) - count, count)
-    head_log = np.log(head_rank.astype(np.float64))
-    head_piece, head_bracket = piece[head], bracket[head]
+    head_bracket = bracket[head]
 
     tail = last - first + 1 > _HEAD_TERMS
     lo = (first[tail] + _HEAD_TERMS).astype(np.float64)
     hi = last[tail].astype(np.float64)
-    log_lo, log_hi, span = np.log(lo), np.log(hi), np.log(hi / lo)
+    span = np.log(hi / lo)
     tail_piece, tail_bracket = piece[tail], bracket[tail]
-
-    def corrections(s, x, fx):
-        # sum_k B_2k / (2k)! * f^(2k-1)(x), with f^(m)(x) = f(x) (s)_m / x^m.
-        total, falling = np.zeros_like(fx), s / x
-        for k, coeff in enumerate(_EM_COEFFS):
-            total += coeff * falling
-            falling = falling * (s - 2 * k - 1) * (s - 2 * k - 2) / (x * x)
-        return fx * total
+    n_head, n_tail = head_rank.size, hi.size
+    ends = np.concatenate([hi, lo])
+    ends_squared = ends * ends
+    point_piece = np.concatenate([piece[head], tail_piece, tail_piece])
+    # Gathers four per-piece rows of a call's flat table to the points.
+    point_index = 3 * np.arange(4)[:, None] + point_piece
+    point_log = np.log(np.concatenate([head_rank.astype(np.float64), ends]))
+    # The falling factorial's factors (s - 2k) - 1 and (s - 2k) - 2 for the
+    # updates k = 0, 1, 2 after the first correction, one row each.
+    twice_k = np.repeat(2.0 * np.arange(len(_EM_COEFFS) - 1), 2)[:, None]
+    one_two = np.tile([1.0, 2.0], len(_EM_COEFFS) - 1)[:, None]
 
     def sums(slopes: np.ndarray) -> np.ndarray:
-        s = np.asarray(slopes, dtype=np.float64)
-        c1 = (s[0] - s[1]) * log_knees[0]
-        c = np.array([0.0, c1, c1 + (s[1] - s[2]) * log_knees[1]])
-        top = max(0.0, s[0] * log_knees[0], c[1] + s[1] * log_knees[1],
-                  c[2] + s[2] * log_n)
-        shift = c - top
+        s0, s1, s2 = np.asarray(slopes, dtype=np.float64).tolist()
+        c1 = (s0 - s1) * log_b1
+        c2 = c1 + (s1 - s2) * log_b2
+        top = max(0.0, s0 * log_b1, c1 + s1 * log_b2, c2 + s2 * log_n)
+        t0, t1, t2 = s0 + 1.0, s1 + 1.0, s2 + 1.0
+        shift, slope, t, rate = np.array([
+            0.0 - top, c1 - top, c2 - top, s0, s1, s2, t0, t1, t2,
+            abs(t0), abs(t1), abs(t2)]).take(point_index)
+        f = np.exp(shift + slope * point_log)
+        out = np.bincount(head_bracket, f[:n_head], minlength=n_brackets)
 
-        head_terms = np.exp(shift[head_piece] + s[head_piece] * head_log)
-        out = np.bincount(head_bracket, head_terms, minlength=n_brackets)
-
-        st, sh = s[tail_piece], shift[tail_piece]
-        f_lo, f_hi = np.exp(sh + st * log_lo), np.exp(sh + st * log_hi)
+        f_ends, s_ends = f[n_head:], slope[n_head:]
+        f_hi, f_lo = f_ends[:n_tail], f_ends[n_tail:]
         # Integral of f over [lo, hi], scaled by its larger end so that
         # the exponential never grows: f(hi) hi when s + 1 > 0, else f(lo) lo.
-        t = st + 1.0
-        rate = np.abs(t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shape = np.where(t == 0.0, span,
-                             -np.expm1(-rate * span) / rate)
-        integral = np.where(t > 0.0, f_hi * hi, f_lo * lo) * shape
+        t, rate = t[n_head:n_head + n_tail], rate[n_head:n_head + n_tail]
+        shape = span.copy()
+        np.divide(-np.expm1(-rate * span), rate, out=shape, where=t != 0.0)
+        scaled = f_ends * ends
+        integral = np.where(t > 0.0, scaled[:n_tail], scaled[n_tail:]) * shape
+
+        # sum_k B_2k / (2k)! * f^(2k-1)(x), with f^(m)(x) = f(x) (s)_m / x^m,
+        # at both ends at once.
+        factors = s_ends - twice_k - one_two
+        falling = s_ends / ends
+        # Starting from the first term, not from zeros, can flip only the
+        # sign of a zero, which the bincount's sum drops.
+        total = _EM_COEFFS[0] * falling
+        for k, coeff in enumerate(_EM_COEFFS[1:]):
+            falling = (falling * factors[2 * k] * factors[2 * k + 1]
+                       / ends_squared)
+            total += coeff * falling
+        corrections = f_ends * total
         tails = (integral + 0.5 * (f_lo + f_hi)
-                 + corrections(st, hi, f_hi) - corrections(st, lo, f_lo))
+                 + corrections[:n_tail] - corrections[n_tail:])
         out += np.bincount(tail_bracket, tails, minlength=n_brackets)
         return out / out.sum()
 

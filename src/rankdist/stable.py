@@ -83,17 +83,21 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
 
     Used by the projection engine, where trend- or tax-adjusted growth rates
     carry nonzero aggregate drift by construction.  Raises
+    :class:`RankModelError` unless every sum is finite,
     :class:`UnstableError` at the first nonnegative prefix sum, and
-    :class:`NonPositiveSigmaError` unless every sigma is positive.
+    :class:`NonPositiveSigmaError` unless every sigma is finite and positive.
     """
     sums = _as_float_array(sums, "sums")
+    if not np.all(np.isfinite(sums)):
+        raise RankModelError("sums contains non-finite values")
     if np.any(sums >= 0):
         raise UnstableError(int(np.argmax(sums >= 0)) + 1)
     sigma = _as_float_array(sigma, "sigma")
     if sigma.size != sums.size:
         raise RankModelError("sigma and prefix sums differ in length")
-    if not np.all(sigma > 0):
-        raise NonPositiveSigmaError("all sigma values must be positive")
+    if not (np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
+        raise NonPositiveSigmaError("all sigma values must be finite and "
+                                    "positive")
     return StableGaps(gaps=sigma ** 2 / (-4.0 * sums))
 
 

@@ -48,10 +48,15 @@ class TestVolatilityFromComponents:
         with pytest.raises(rd.NegativeInputError):
             rd.volatility_from_components(-0.1, np.zeros(5))
 
-    @pytest.mark.parametrize("labor", [np.zeros(4), np.zeros(6), 0.0],
-                             ids=["short", "long", "scalar"])
-    def test_one_labor_value_per_bracket(self, labor):
-        with pytest.raises(rd.RankModelError):
+    @pytest.mark.parametrize("labor, message", [
+        (np.zeros(4), r"labor_rel_sd must hold one value per bracket \(5\)"),
+        (np.zeros(6), r"labor_rel_sd must hold one value per bracket \(5\)"),
+        (0.0, "labor_rel_sd must be a nonempty 1-D vector"),
+        ([0.1, 0.1, np.nan, 0.1, 0.1], "labor_rel_sd contains non-finite"),
+        ([0.1, 0.1, 0.1, 0.1, np.inf], "labor_rel_sd contains non-finite"),
+    ], ids=["short", "long", "scalar", "nan", "inf"])
+    def test_one_labor_value_per_bracket(self, labor, message):
+        with pytest.raises(rd.RankModelError, match=message):
             rd.volatility_from_components(0.2, labor)
 
     @pytest.mark.parametrize("investment, labor, message", [
