@@ -87,15 +87,19 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
     :class:`UnstableError` at the first nonnegative prefix sum, and
     :class:`NonPositiveSigmaError` unless every sigma is finite and positive.
     """
+    # The checks read each array through its min and max: two reductions
+    # that make no temporary array, with any NaN carried into both.
     sums = _as_float_array(sums, "sums")
-    if not np.all(np.isfinite(sums)):
-        raise RankModelError("sums contains non-finite values")
-    if np.any(sums >= 0):
-        raise UnstableError(int(np.argmax(sums >= 0)) + 1)
+    if sums.size:
+        low, high = sums.min(), sums.max()
+        if not (low > -np.inf and high < np.inf):
+            raise RankModelError("sums contains non-finite values")
+        if high >= 0:
+            raise UnstableError(int(np.argmax(sums >= 0)) + 1)
     sigma = _as_float_array(sigma, "sigma")
     if sigma.size != sums.size:
         raise RankModelError("sigma and prefix sums differ in length")
-    if not (np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
+    if sigma.size and not (sigma.min() > 0 and sigma.max() < np.inf):
         raise NonPositiveSigmaError("all sigma values must be finite and "
                                     "positive")
     return StableGaps(gaps=sigma ** 2 / (-4.0 * sums))

@@ -88,21 +88,31 @@ class TestStableGaps:
         with pytest.raises(rd.RankModelError, match=f"{name} must hold"):
             gaps_from_prefix_sums(sums, sigma)
 
-    @pytest.mark.parametrize("sigma", [-1.0, 0.0, np.nan, np.inf],
-                             ids=["negative", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("sigma", [[-1.0], [0.0], [np.nan], [np.inf],
+                                       [0.3, np.nan, 0.3]],
+                             ids=["negative", "zero", "nan", "inf",
+                                  "nan_inside"])
     def test_prefix_sum_sigma_must_be_positive(self, sigma):
         # The closed form squares sigma, so a bad sign would pass unseen.
         with pytest.raises(rd.NonPositiveSigmaError,
                            match="sigma values must be finite and positive"):
-            gaps_from_prefix_sums([-0.3], [sigma])
+            gaps_from_prefix_sums([-0.3] * len(sigma), sigma)
 
-    @pytest.mark.parametrize("sums", [[np.nan], [-np.inf], [-0.1, np.inf]],
-                             ids=["nan", "minus_inf", "inf"])
+    @pytest.mark.parametrize("sums", [[np.nan], [-np.inf], [-0.1, np.inf],
+                                      [-0.1, np.nan, -0.2],
+                                      [0.1, np.nan]],
+                             ids=["nan", "minus_inf", "inf", "nan_inside",
+                                  "nan_beside_nonnegative"])
     def test_prefix_sums_must_be_finite(self, sums):
-        # A NaN sum would fail as a bad gap, and -inf give a zero gap.
+        # A NaN sum would fail as a bad gap, and -inf give a zero gap.  The
+        # finiteness check comes before the stability check.
         with pytest.raises(rd.RankModelError,
                            match="sums contains non-finite values"):
             gaps_from_prefix_sums(sums, [0.3] * len(sums))
+
+    def test_empty_prefix_sums_give_no_gaps(self):
+        # A one-rank system has no gaps, so nothing to check.
+        assert gaps_from_prefix_sums([], []).gaps.size == 0
 
     def test_scale_invariance(self):
         # Doubling sigma multiplies gaps by exactly 4 (power-of-two scaling
