@@ -486,16 +486,16 @@ def group_shares(shares, brackets: Sequence[Bracket]) -> GroupedShares:
 
     ``shares`` may be a :class:`RankedShares` or a plain descending vector,
     such as the projection engine's divergent limit, which is exactly zero
-    below its top group.
+    below its top group.  Each bracket of the partition ``brackets`` is one
+    long-double sum over its own ranks, rounded to float64 once.
     """
+    brackets = as_brackets(brackets, "brackets", partition=True)
     vec = shares.shares if isinstance(shares, RankedShares) else \
         _as_float_array(shares, "shares")
     if vec.ndim != 1:
         raise RankModelError("shares must be a 1-D vector")
-    n = vec.size
-    cums = np.concatenate([[0.0], prefix_sum(vec)])
     out = np.empty(len(brackets))
     for i, bracket in enumerate(brackets):
-        lo_rank, hi_rank = bracket_to_ranks(bracket, n)
-        out[i] = cums[hi_rank] - cums[lo_rank - 1]
-    return GroupedShares(brackets=tuple(brackets), shares=out)
+        lo_rank, hi_rank = bracket_to_ranks(bracket, vec.size)
+        out[i] = np.sum(vec[lo_rank - 1:hi_rank], dtype=np.longdouble)
+    return GroupedShares(brackets=brackets, shares=out)

@@ -331,6 +331,8 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
 
 def gap_average_report(path: SimulationPath, predicted: StableGaps) -> dict:
     """Per-rank relative errors of simulated vs predicted positive gaps."""
+    if not isinstance(path, SimulationPath):
+        raise RankModelError("path must be a SimulationPath")
     if not isinstance(predicted, StableGaps):
         raise RankModelError("predicted must be a StableGaps")
     empirical = path.rank_gap_averages

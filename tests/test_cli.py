@@ -272,6 +272,8 @@ class TestCommands:
         ({"breakpoints": 5}, ["project"], "breakpoints must be a pair"),
         ({"breakpoints": ["a", "b"]}, ["project"],
          "breakpoints[0] must be a finite number"),
+        ({"breakpoints": [0.01, 40]}, ["calibrate"],
+         "fitted shares are not strictly descending"),
         ({"reporting_brackets": [[0, "x"]]}, ["project"],
          "reporting_brackets[0][1] must be a finite number"),
         ({"scenario": 2.5}, ["project"], "scenario must be an integer"),
@@ -293,7 +295,8 @@ class TestCommands:
             "record_every_bool", "horizon_inf", "drift_clip_nan", "dt_null",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
             "simulation_not_object", "breakpoints_not_a_pair",
-            "breakpoints_not_numbers", "reporting_bracket_not_a_number",
+            "breakpoints_not_numbers", "breakpoints_fit_fails",
+            "reporting_bracket_not_a_number",
             "scenario_not_integral", "scenario_unicode_digit",
             "sigma_variant_unknown", "reporting_brackets_not_a_partition",
             "reporting_brackets_empty", "tax_not_a_path",

@@ -1,5 +1,7 @@
 """Unit tests for domain types, validation, and bracket arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,11 @@ class TestRankParameters:
     def test_positive_sigma_required(self):
         with pytest.raises(rd.NonPositiveSigmaError):
             rd.make_rank_parameters([-0.01, 0.01], [0.0])
+
+    def test_sigma_one_shorter_than_alpha(self):
+        with pytest.raises(rd.RankModelError,
+                           match="sigma must have length n - 1"):
+            rd.RankParameters(alpha=[0.1, 0.0, -0.1], sigma=[0.3] * 3)
 
 
 class TestFrozenFieldsLeaveCallerArraysAlone:
@@ -190,6 +197,26 @@ class TestGroupShares:
     def test_reversed_bracket_is_a_bracket_gap_error(self):
         with pytest.raises(rd.BracketGapError, match="invalid bracket"):
             rd.group_shares(np.full(100, 0.01), ((20, 10),))
+
+    def test_brackets_must_be_a_list(self):
+        with pytest.raises(rd.RankModelError, match="brackets must be a list"):
+            rd.group_shares(np.full(100, 0.01), None)
+
+    def test_each_bracket_is_its_exact_sum(self):
+        # Each share is the float64 nearest the exact sum of its bracket's
+        # shares, as math.fsum gives it.  A difference of long-double
+        # prefix sums missed it in two of these brackets.  This relies on
+        # np.longdouble holding a 64-bit mantissa (x86 extended precision),
+        # as core.prefix_sum does.
+        n = 10**4
+        ranks = np.arange(1, n + 1) ** -0.8
+        shares = ranks / ranks.sum()
+        brackets = ((0, 0.01), (0.01, 0.1), (0.1, 0.5), (0.5, 1), (1, 10),
+                    (10, 100))
+        exact = [math.fsum(shares[lo - 1:hi]) for lo, hi in
+                 (rd.bracket_to_ranks(b, n) for b in brackets)]
+        np.testing.assert_array_equal(
+            rd.group_shares(shares, brackets).shares, exact)
 
 
 class TestGroupedSharesValidation:

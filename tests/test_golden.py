@@ -8,6 +8,9 @@ file and explains the change:
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints each (case, file) whose digest moved before it rewrites the
+file.
+
 n = 10^4 is the smallest size at which the packaged 0.01% bracket maps to
 an integer rank.
 """
@@ -129,10 +132,18 @@ def test_simulate_does_not_depend_on_the_draw_worker(tmp_path, monkeypatch):
 
 
 def write_golden() -> None:
+    """Rewrite ``golden_cli.json``, first printing each (case, file) whose
+    digest differs from the committed one."""
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) \
+        if GOLDEN.exists() else {}
     golden = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as work:
             golden[case] = digests(case, Path(work))
+        before = old.get(case, {})
+        for name in sorted(golden[case].keys() | before.keys()):
+            if golden[case].get(name) != before.get(name):
+                print(f"moved: {case} {name}")
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
 

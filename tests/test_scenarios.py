@@ -111,6 +111,10 @@ class TestProject:
         np.testing.assert_allclose(outcome.shares, baseline.shares,
                                    rtol=1e-12)
 
+    def test_reporting_brackets_must_be_a_list(self):
+        with pytest.raises(rd.RankModelError, match="brackets must be a list"):
+            rd.project(small_params(), None)
+
     def test_divergent_outcome(self):
         # A strong enough top-bracket trend destabilizes the system.
         params = small_params()

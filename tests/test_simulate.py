@@ -554,6 +554,11 @@ class TestGapAverageReport:
                            match="predicted must be a StableGaps"):
             rd.gap_average_report(path, [0.1])
 
+    def test_path_must_be_a_simulation_path(self):
+        with pytest.raises(rd.RankModelError,
+                           match="path must be a SimulationPath"):
+            rd.gap_average_report("x", rd.StableGaps(gaps=[1.0]))
+
     def test_dimension_mismatch(self):
         predicted = rd.StableGaps(gaps=np.array([0.5, 0.25]))
         path = rd.SimulationPath(
