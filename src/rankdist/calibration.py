@@ -374,8 +374,17 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
 
     shares = _shares_from_slopes(slopes, b1, b2, n)
     if not uniform and np.any(np.diff(shares) >= 0):
-        raise FitFailedError("fitted shares are not strictly descending "
-                             "(a fitted slope is nonnegative)")
+        if np.any(slopes >= 0):
+            why = "a fitted slope is nonnegative"
+        elif shares[-1] == 0.0:
+            why = (f"every fitted slope is negative, but the shares "
+                   f"underflow to zero from rank "
+                   f"{np.count_nonzero(shares) + 1} on")
+        else:
+            why = (f"every fitted slope is negative, but the shares round "
+                   f"to a tie at rank {np.argmax(np.diff(shares) >= 0) + 1}")
+        raise FitFailedError(f"fitted shares are not strictly descending "
+                             f"({why})")
     # The reported error is that of the shares returned (and written).
     fitted = group_shares(shares, target.brackets).shares
     fit = PiecewiseLogLogFit(

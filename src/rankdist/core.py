@@ -170,9 +170,15 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
 
     At n = 10**6 a naive float64 cumulative sum loses enough precision to
     break round-trip identities, so sums are accumulated in long double and
-    rounded back once.
+    rounded back once.  The sums are accumulated in place in one long-double
+    copy of ``values`` (``np.array`` always copies, so the caller's array is
+    never written): a second n-long long-double array would be a fresh
+    16 MB at n = 10**6, faulted in again on every call.  Like ``np.cumsum``
+    it flattens its input, and a scalar gives one sum.
     """
-    return np.cumsum(np.asarray(values, dtype=np.longdouble)).astype(np.float64)
+    sums = np.array(values, dtype=np.longdouble).ravel()
+    np.cumsum(sums, out=sums)
+    return sums.astype(np.float64)
 
 
 def _thread_count() -> int:
@@ -195,7 +201,9 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     arr = _as_float_array(values, name)
     if arr.ndim != 1 or arr.size == 0:
         raise RankModelError(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    # min and max are reductions that make no temporary array, and a NaN
+    # is carried into both.
+    if not (arr.min() > -np.inf and arr.max() < np.inf):
         raise RankModelError(f"{name} contains non-finite values")
     return arr
 
@@ -309,7 +317,7 @@ class RankParameters:
         alpha = _as_float_vector(self.alpha, "alpha")
         if sigma.size != alpha.size - 1:
             raise RankModelError("sigma must have length n - 1")
-        if np.any(sigma <= 0):
+        if sigma.min() <= 0:
             raise NonPositiveSigmaError("all sigma values must be positive")
         _freeze(self, alpha=alpha, sigma=sigma)
 

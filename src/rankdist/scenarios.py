@@ -93,7 +93,8 @@ def apply_trend(params: RankParameters, trend: TrendSpec) -> RankParameters:
     aggregate drift.
     """
     adjustment = per_rank_values(trend.brackets, trend.growth, params.n)
-    return RankParameters(alpha=params.alpha + adjustment, sigma=params.sigma)
+    alpha = np.add(params.alpha, adjustment, out=adjustment)
+    return RankParameters(alpha=alpha, sigma=params.sigma)
 
 
 def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
@@ -103,7 +104,8 @@ def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
     discarded (no redistribution).  Volatilities are unchanged.
     """
     adjustment = per_rank_values(tax.brackets, tax.rate, params.n)
-    return RankParameters(alpha=params.alpha - adjustment, sigma=params.sigma)
+    alpha = np.subtract(params.alpha, adjustment, out=adjustment)
+    return RankParameters(alpha=alpha, sigma=params.sigma)
 
 
 def recenter(alpha) -> np.ndarray:
@@ -148,8 +150,9 @@ def project(params: RankParameters,
     sums = prefix_sum(params.alpha)
     report = check_stability(sums=sums)
     if report.stable:
-        shares = shares_from_gaps(
-            gaps_from_prefix_sums(sums[:-1], params.sigma)).shares
+        gaps = gaps_from_prefix_sums(sums[:-1], params.sigma)
+        del sums  # not held through the forward solve's own prefix sum
+        shares = shares_from_gaps(gaps).shares
     else:
         top = top_group_stable(params, report.m)
         shares = np.zeros(params.n)

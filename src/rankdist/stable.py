@@ -61,7 +61,7 @@ class StableGaps:
         gaps = _as_float_array(self.gaps, "gaps")
         if gaps.ndim != 1:
             raise RankModelError("gaps must be a 1-D vector")
-        if np.any(~np.isfinite(gaps)) or np.any(gaps < 0):
+        if gaps.size and not (gaps.min() >= 0 and gaps.max() < np.inf):
             raise RankModelError("gaps must be finite and nonnegative")
         _freeze(self, gaps=gaps)
 
@@ -102,7 +102,11 @@ def gaps_from_prefix_sums(sums: np.ndarray, sigma: np.ndarray) -> StableGaps:
     if sigma.size and not (sigma.min() > 0 and sigma.max() < np.inf):
         raise NonPositiveSigmaError("all sigma values must be finite and "
                                     "positive")
-    return StableGaps(gaps=sigma ** 2 / (-4.0 * sums))
+    if sums.ndim != 1 or sigma.ndim != 1:
+        raise RankModelError("sums and sigma must be 1-D vectors")
+    gaps = np.multiply(sums, -4.0)
+    np.divide(np.square(sigma), gaps, out=gaps)
+    return StableGaps(gaps=gaps)
 
 
 def stable_gaps(params: RankParameters) -> StableGaps:
@@ -111,10 +115,18 @@ def stable_gaps(params: RankParameters) -> StableGaps:
 
 
 def shares_from_gaps(gaps: StableGaps) -> RankedShares:
-    """Exponentiate cumulative gaps into a normalized descending share vector."""
-    logs = np.concatenate([[0.0], -prefix_sum(gaps.gaps)])
-    weights = np.exp(logs)
-    return RankedShares(shares=weights / weights.sum())
+    """Exponentiate cumulative gaps into a normalized descending share vector.
+
+    Rank 1 has log weight 0, rank k + 1 minus the sum of the first k gaps;
+    the weights are exponentiated and normalized in the one array.
+    """
+    sums = prefix_sum(gaps.gaps)
+    weights = np.empty(sums.size + 1)
+    weights[0] = 1.0
+    np.negative(sums, out=weights[1:])
+    np.exp(weights[1:], out=weights[1:])
+    weights /= weights.sum()
+    return RankedShares(shares=weights)
 
 
 def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
@@ -132,12 +144,21 @@ def alpha_from_shares(shares: RankedShares, sigma) -> RankParameters:
     # log1p of the adjacent ratio keeps full relative precision even when
     # neighboring shares are nearly tied (log-difference would lose ~6
     # digits there and break the 1e-10 round-trip guarantee).
-    gaps = np.log1p((values[:-1] - values[1:]) / values[1:])
-    if np.any(gaps <= 0):
+    gaps = np.subtract(values[:-1], values[1:])
+    np.divide(gaps, values[1:], out=gaps)
+    np.log1p(gaps, out=gaps)
+    # fmin skips a NaN gap (0/0 below a run of zero shares), which the
+    # comparison gaps <= 0 also reads as no tie.
+    if np.fmin.reduce(gaps, initial=np.inf) <= 0:
         raise TiedSharesError(int(np.argmax(gaps <= 0)) + 1)
-    sums = -(sigma ** 2) / (4.0 * gaps)
-    return RankParameters(alpha=np.diff(sums, prepend=0.0, append=0.0),
-                          sigma=sigma)
+    # gaps becomes -S_k = sigma_k**2 / (4 gap_k); alpha_k = S_k - S_{k-1}
+    # with S_0 = S_n = 0.
+    np.multiply(gaps, 4.0, out=gaps)
+    np.divide(np.square(sigma), gaps, out=gaps)
+    alpha = np.zeros(gaps.size + 1)
+    np.negative(gaps, out=alpha[:-1])
+    alpha[1:] += gaps
+    return RankParameters(alpha=alpha, sigma=sigma)
 
 
 def check_stability(*, sums) -> StabilityReport:
@@ -154,11 +175,11 @@ def check_stability(*, sums) -> StabilityReport:
     common shift of all alpha.
     """
     sums = _as_float_vector(sums, "sums")
-    bad = sums[:-1] >= 0
-    if not np.any(bad):
+    if sums.size == 1 or sums[:-1].max() < 0:
         return StabilityReport()
-    first = int(np.argmax(bad)) + 1
-    A = sums / np.arange(1, sums.size + 1)
+    first = int(np.argmax(sums[:-1] >= 0)) + 1
+    A = np.arange(1.0, sums.size + 1)
+    np.divide(sums, A, out=A)
     m = int(np.argmax(A)) + 1  # np.argmax returns the smallest index on ties
     unique = int(np.count_nonzero(A == A[m - 1])) == 1
     return StabilityReport(first_violation=first, m=m, A_m=float(A[m - 1]),

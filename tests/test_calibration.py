@@ -130,8 +130,11 @@ class TestFitPiecewisePareto:
         ((10.0, 0.01), "must be interior percents in increasing order"),
         # Legal knees, but the best fit found drops its bottom segment so
         # steeply (slope near -1e5) that the shares below the 40% knee
-        # underflow to equal zeros: the fill-in is not descending.
-        ((0.01, 40.0), "fitted shares are not strictly descending"),
+        # underflow to equal zeros: the fill-in is not descending, though
+        # no fitted slope is nonnegative.
+        ((0.01, 40.0), r"not strictly descending \(every fitted slope is "
+                       r"negative, but the shares underflow to zero from "
+                       r"rank 4031 on\)"),
     ], ids=["number", "strings", "one_entry", "none", "decreasing",
             "fit_fails"])
     @pytest.mark.parametrize("fit", [
@@ -142,6 +145,24 @@ class TestFitPiecewisePareto:
     def test_breakpoints_checked(self, fit, breakpoints, message):
         with pytest.raises(rd.RankModelError, match=message):
             fit(breakpoints)
+
+    @pytest.mark.parametrize("slopes, message", [
+        ((0.5, -1.0, -1.0), r"\(a fitted slope is nonnegative\)"),
+        ((-1.0, -0.0, -1.0), r"\(a fitted slope is nonnegative\)"),
+        # Slopes this shallow step each log share by less than half an ulp
+        # of 1, so exp rounds neighbours to the same weight.
+        ((-1e-13, -1e-13, -1e-13), r"\(every fitted slope is negative, but "
+                                   r"the shares round to a tie at rank 506\)"),
+    ], ids=["positive_slope", "negative_zero_slope", "rounding_tie"])
+    def test_not_descending_names_the_cause(self, monkeypatch, slopes,
+                                            message):
+        monkeypatch.setattr(calibration, "minimize", lambda objective, start:
+                            calibration.SimplexResult(np.array(slopes), 0.5,
+                                                      1))
+        with pytest.raises(rd.FitFailedError,
+                           match="fitted shares are not strictly descending "
+                                 + message):
+            rd.fit_piecewise_pareto(TARGET_2012, 10**4)
 
     def test_infeasible_target(self):
         target = GroupedShares(brackets=((0, 50), (50, 100)),

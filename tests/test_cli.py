@@ -273,7 +273,8 @@ class TestCommands:
         ({"breakpoints": ["a", "b"]}, ["project"],
          "breakpoints[0] must be a finite number"),
         ({"breakpoints": [0.01, 40]}, ["calibrate"],
-         "fitted shares are not strictly descending"),
+         "fitted shares are not strictly descending (every fitted slope is "
+         "negative, but the shares underflow to zero from rank 4031 on)"),
         ({"reporting_brackets": [[0, "x"]]}, ["project"],
          "reporting_brackets[0][1] must be a finite number"),
         ({"scenario": 2.5}, ["project"], "scenario must be an integer"),

@@ -110,6 +110,18 @@ class TestStableGaps:
                            match="sums contains non-finite values"):
             gaps_from_prefix_sums(sums, [0.3] * len(sums))
 
+    @pytest.mark.parametrize("sums, sigma", [
+        (np.full((1, 2), -0.1), [0.3, 0.3]),
+        ([-0.1, -0.2], np.full((1, 2), 0.3)),
+        (np.full((2, 2), -0.1), np.full(4, 0.3)),
+        (-0.1, 0.3),
+    ], ids=["sums_two_dimensional", "sigma_two_dimensional",
+            "shapes_that_do_not_broadcast", "scalars"])
+    def test_prefix_sum_inputs_must_be_vectors(self, sums, sigma):
+        with pytest.raises(rd.RankModelError,
+                           match="sums and sigma must be 1-D vectors"):
+            gaps_from_prefix_sums(sums, sigma)
+
     def test_empty_prefix_sums_give_no_gaps(self):
         # A one-rank system has no gaps, so nothing to check.
         assert gaps_from_prefix_sums([], []).gaps.size == 0
