@@ -7,12 +7,15 @@ emitted CSV round-trips through its own reader bit-exactly.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import dataclasses
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -108,21 +111,32 @@ def read_tax(path) -> TaxSchedule:
     return _read_table(path, TaxSchedule, "tax_rate_per_year")
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 with LF endings, creating the parent
-    directory; every file the package writes goes through here, and a
-    failed write raises :class:`RankModelError` naming the path."""
+def _write(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` in order, creating the parent directory;
+    every file the package writes goes through here.
+
+    The bytes go to a sibling ``.<name>.part``, which replaces ``path`` only
+    once every chunk is written: a failed write leaves no file, and an
+    older one as it was.  An :class:`OSError` raises
+    :class:`RankModelError` naming the path."""
     path = Path(path)
+    part = path.with_name(f".{path.name}.part")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
+        try:
+            with open(part, "wb") as out:
+                for chunk in chunks:
+                    out.write(chunk)
+            os.replace(part, path)
+        finally:
+            part.unlink(missing_ok=True)
     except OSError as exc:
         raise RankModelError(f"cannot write {path}: {exc}") from exc
 
 
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write lines as UTF-8 with LF endings, creating the parent directory."""
-    _write_text(path, "\n".join(lines) + "\n")
+    _write(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +288,15 @@ def _cell_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _format_rows(columns: Sequence[np.ndarray]) -> str:
-    """The CSV rows of equal-length float64 columns as one string."""
+def _format_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length float64 columns, as ASCII."""
     words = _cell_words(np.concatenate(columns)).reshape(4, len(columns), -1)
     words[3] |= _SEPARATOR
     words[3, -1] ^= _SEPARATOR ^ _NEWLINE
     cells = np.ascontiguousarray(words.transpose(2, 1, 0)).astype("<u8",
                                                                  copy=False)
     text = cells.view(np.uint8).ravel()
-    return str(text.compress(text != 0), "ascii")
+    return text.compress(text != 0).tobytes()
 
 
 def _column(path, field: str, values) -> np.ndarray:
@@ -295,8 +309,9 @@ def _write_table(path, header: Sequence[str], *columns) -> None:
     """Write equal-length columns under a header, every cell as %.17g.
 
     Blocks of ``_BLOCK_ROWS`` rows are formatted on one thread per core
-    (numpy releases the GIL in nearly all of it) and joined in order, so
-    the bytes do not depend on the thread count."""
+    (numpy releases the GIL in nearly all of it) and written in order as
+    each is done, so the bytes do not depend on the thread count and no
+    more than a few blocks' text is held at once."""
     if not columns or len(columns) != len(header):
         raise RankModelError(
             f"{Path(path).name}: a table needs one 1-D column per header "
@@ -310,11 +325,29 @@ def _write_table(path, header: Sequence[str], *columns) -> None:
             f"{[c.shape for c in columns]}")
     blocks = [[c[start:start + _BLOCK_ROWS] for c in columns]
               for start in range(0, columns[0].size, _BLOCK_ROWS)]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        # The list of block strings lives only inside the join.
-        text = "".join([",".join(header) + "\n",
-                        *pool.map(_format_rows, blocks)])
-    _write_text(path, text)
+    # Closed before an error leaves, so that no pool thread outlives it.
+    with contextlib.closing(_table_chunks(header, blocks)) as chunks:
+        _write(path, chunks)
+
+
+def _table_chunks(header: Sequence[str], blocks):
+    """The header line, then each block's rows, in order.
+
+    The blocks are formatted on one thread per core, and at most two per
+    thread are submitted ahead of the one being written."""
+    threads = _thread_count()
+    yield (",".join(header) + "\n").encode("utf-8")
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = collections.deque()
+        for block in blocks:
+            pending.append(pool.submit(_format_rows, block))
+            if len(pending) > 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def write_grouped_csv(path, grouped: GroupedShares) -> None:

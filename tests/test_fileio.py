@@ -4,9 +4,11 @@ Each expected file is computed here, row by row with Python's ``%``
 operator, and compared byte for byte with what the package wrote.
 """
 
+import errno
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -131,8 +133,9 @@ class TestWriteTableShape:
 
 
 class TestWriteTablePool:
-    """The blocks are formatted on one thread per core and joined in
-    order."""
+    """The blocks are formatted on one thread per core and written in
+    order into a ``.part`` file, which is renamed into place once every
+    block is written."""
 
     ROWS = 2 * fileio._BLOCK_ROWS + 1  # three blocks
 
@@ -171,7 +174,7 @@ class TestWriteTablePool:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_error_in_a_block_propagates(self, tmp_path, monkeypatch):
+    def fail_block_2(self, monkeypatch):
         class BlockError(Exception):
             pass
 
@@ -182,14 +185,119 @@ class TestWriteTablePool:
                 raise BlockError("block 2")
             return original(columns)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(fileio, "_format_rows", failing)
+        return BlockError, "block 2"
+
+    def fill_the_disk(self, monkeypatch):
+        """Every write after the first block's rows fails with ENOSPC."""
+
+        class Full:
+            def __init__(self, file):
+                self.file, self.writes = file, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes > 2:  # the header, then block 1
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.file.write(chunk)
+
+        monkeypatch.setattr(fileio, "open", lambda *args: Full(open(*args)),
+                            raising=False)
+        return RankModelError, "cannot write .*t.csv: .*No space left"
+
+    def test_error_in_a_block_propagates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        error, message = self.fail_block_2(monkeypatch)
         running = len(threading.enumerate())
-        with pytest.raises(BlockError, match="block 2"):
+        with pytest.raises(error, match=message):
             fileio._write_table(tmp_path / "t.csv", ("a", "b"),
                                 *self.columns())
         assert not (tmp_path / "t.csv").exists()
         assert len(threading.enumerate()) == running
+
+    def test_a_failed_write_joins_the_pool(self, tmp_path, monkeypatch):
+        # Blocks 2 and 3 are still being formatted when block 1's write
+        # fails; the pool must not outlive the call, even while the error
+        # (whose traceback holds the writer's frames) is still held.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        error, message = self.fill_the_disk(monkeypatch)
+        running = len(threading.enumerate())
+        with pytest.raises(error, match=message) as raised:
+            fileio._write_table(tmp_path / "t.csv", ("a", "b"),
+                                *self.columns())
+        assert raised.value is not None
+        assert len(threading.enumerate()) == running
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", ["block", "file_system"])
+    def test_an_older_file_survives_a_failed_write(self, tmp_path,
+                                                   monkeypatch, failure):
+        path = tmp_path / "alpha.csv"
+        path.write_bytes(b"rank,alpha\n1,0.5\n")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fail = {"block": self.fail_block_2,
+                "file_system": self.fill_the_disk}[failure]
+        error, message = fail(monkeypatch)
+        with pytest.raises(error, match=message.replace("t.csv",
+                                                        "alpha.csv")):
+            fileio._write_table(path, ("a", "b"), *self.columns())
+        assert path.read_bytes() == b"rank,alpha\n1,0.5\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_file_is_replaced_whole(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x" * 10 ** 6)
+        assert_table_bytes(tmp_path, *self.columns())
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def traced_peak(run) -> int:
+    """Bytes traced at the peak of ``run()`` above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriteTableMemory:
+    """A table is streamed: its peak memory is set by the blocks in flight,
+    not by the file's size.
+
+    With T threads, at most T blocks are being formatted, each holding at
+    most P bytes (its temporaries and its text, measured here on one
+    block).  Up to 2T further blocks are submitted ahead of the one being
+    written, and the chunk written last is still referenced while the next
+    is fetched; each of those holds only its text, B bytes.  So the peak is
+    at most T * P + (2T + 2) * B.  Writing the whole text at once peaked at
+    twice the file's size: its blocks' strings, then the joined string and
+    its UTF-8 copy.
+    """
+
+    ROWS = 3 * 10 ** 5
+    THREADS = 2
+
+    def test_peak_is_a_few_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: self.THREADS)
+        columns = np.random.default_rng(17).standard_normal((2, self.ROWS))
+        block = [c[:fileio._BLOCK_ROWS] for c in columns]
+        one = traced_peak(lambda: fileio._format_rows(block))
+        text = len(fileio._format_rows(block))
+        path = tmp_path / "t.csv"
+        peak = traced_peak(
+            lambda: fileio._write_table(path, ("a", "b"), *columns))
+        bound = self.THREADS * one + (2 * self.THREADS + 2) * text
+        assert peak <= bound
+        # The whole text held twice over would not fit.
+        assert 2 * path.stat().st_size > 1.5 * bound
 
 
 class TestPublicWriters:
