@@ -174,6 +174,26 @@ class TestWriteTablePool:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_error_in_a_block_propagates(self, tmp_path, monkeypatch):
+        class BlockError(Exception):
+            pass
+
+        original = fileio._format_rows
+
+        def failing(columns):
+            if columns[0][0] == fileio._BLOCK_ROWS:
+                raise BlockError("block 2")
+            return original(columns)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fileio, "_format_rows", failing)
+        running = len(threading.enumerate())
+        with pytest.raises(BlockError, match="block 2"):
+            fileio._write_table(tmp_path / "t.csv", ("a", "b"),
+                                *self.columns())
+        assert not (tmp_path / "t.csv").exists()
+        assert len(threading.enumerate()) == running
+
     def fail_block_2(self, monkeypatch):
         class BlockError(Exception):
             pass
@@ -189,7 +209,7 @@ class TestWriteTablePool:
         return BlockError, "block 2"
 
     def fill_the_disk(self, monkeypatch):
-        """Every write after the first block's rows fails with ENOSPC."""
+        """Every write after the header and block 1 fails with ENOSPC."""
 
         class Full:
             def __init__(self, file):
@@ -203,7 +223,7 @@ class TestWriteTablePool:
 
             def write(self, chunk):
                 self.writes += 1
-                if self.writes > 2:  # the header, then block 1
+                if self.writes > 2:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return self.file.write(chunk)
 
@@ -211,27 +231,17 @@ class TestWriteTablePool:
                             raising=False)
         return RankModelError, "cannot write .*t.csv: .*No space left"
 
-    def test_error_in_a_block_propagates(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        error, message = self.fail_block_2(monkeypatch)
-        running = len(threading.enumerate())
-        with pytest.raises(error, match=message):
-            fileio._write_table(tmp_path / "t.csv", ("a", "b"),
-                                *self.columns())
-        assert not (tmp_path / "t.csv").exists()
-        assert len(threading.enumerate()) == running
-
     def test_a_failed_write_joins_the_pool(self, tmp_path, monkeypatch):
-        # Blocks 2 and 3 are still being formatted when block 1's write
-        # fails; the pool must not outlive the call, even while the error
-        # (whose traceback holds the writer's frames) is still held.
+        # Block 2's write fails while the pool still holds block 3; no
+        # pool thread may outlive the call, even while the error (whose
+        # traceback holds the writer's frames) is still held.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         error, message = self.fill_the_disk(monkeypatch)
         running = len(threading.enumerate())
         with pytest.raises(error, match=message) as raised:
             fileio._write_table(tmp_path / "t.csv", ("a", "b"),
                                 *self.columns())
-        assert raised.value is not None
+        assert isinstance(raised.value.__cause__, OSError)
         assert len(threading.enumerate()) == running
         assert list(tmp_path.iterdir()) == []
 
