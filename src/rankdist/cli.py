@@ -185,8 +185,15 @@ def _cmd_projection(cfg: RunConfig, tax: Optional[TaxSchedule]) -> int:
     out = cfg.out_dir
     fileio.write_grouped_csv(out / "projection.csv", outcome.grouped)
     fileio.write_loglog_csv(out / "loglog.csv", outcome.shares)
+    divergence = out / "divergence.json"
     if outcome.kind == "divergent":
-        fileio.write_divergence_json(out / "divergence.json", outcome.report)
+        fileio.write_divergence_json(divergence, outcome.report)
+    else:  # an earlier divergent run's report would contradict this one
+        try:
+            divergence.unlink(missing_ok=True)
+        except OSError as exc:
+            raise RankModelError(f"cannot remove {divergence}: {exc}"
+                                 ) from exc
     for bracket, share in zip(outcome.grouped.brackets,
                               outcome.grouped.shares):
         print(f"  {_label(*bracket)}: {100 * share:.1f}%")

@@ -15,7 +15,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -111,22 +111,21 @@ def read_tax(path) -> TaxSchedule:
     return _read_table(path, TaxSchedule, "tax_rate_per_year")
 
 
-def _write(path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to ``path`` in order, creating the parent directory;
-    every file the package writes goes through here.
+@contextlib.contextmanager
+def _replacing(path):
+    """An open sibling ``.<name>.part`` of ``path``, created with the parent
+    directory; every file the package writes goes through here.
 
-    The bytes go to a sibling ``.<name>.part``, which replaces ``path`` only
-    once every chunk is written: a failed write leaves no file, and an
-    older one as it was.  An :class:`OSError` raises
-    :class:`RankModelError` naming the path."""
+    The part file replaces ``path`` only when the block ends cleanly: a
+    failed write leaves no file, and an older one as it was.  An
+    :class:`OSError` raises :class:`RankModelError` naming the path."""
     path = Path(path)
     part = path.with_name(f".{path.name}.part")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(part, "wb") as out:
-                for chunk in chunks:
-                    out.write(chunk)
+                yield out
             os.replace(part, path)
         finally:
             part.unlink(missing_ok=True)
@@ -136,7 +135,8 @@ def _write(path, chunks: Iterable[bytes]) -> None:
 
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write lines as UTF-8 with LF endings, creating the parent directory."""
-    _write(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    with _replacing(path) as out:
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -310,44 +310,31 @@ def _write_table(path, header: Sequence[str], *columns) -> None:
 
     Blocks of ``_BLOCK_ROWS`` rows are formatted on one thread per core
     (numpy releases the GIL in nearly all of it) and written in order as
-    each is done, so the bytes do not depend on the thread count and no
-    more than a few blocks' text is held at once."""
-    if not columns or len(columns) != len(header):
+    each is done, at most two per thread submitted ahead of the one being
+    written, so the bytes do not depend on the thread count and no more
+    than a few blocks' text is held at once."""
+    arrays = [_column(path, field, column)
+              for field, column in zip(header, columns)]
+    if (not arrays or len(columns) != len(header)
+            or any(a.shape != arrays[0].shape or a.ndim != 1 for a in arrays)):
         raise RankModelError(
             f"{Path(path).name}: a table needs one 1-D column per header "
-            f"field ({len(header)}); got {len(columns)} columns")
-    columns = [_column(path, field, column)
-               for field, column in zip(header, columns)]
-    if any(c.shape != columns[0].shape or c.ndim != 1 for c in columns):
-        raise RankModelError(
-            f"{Path(path).name}: a table needs one 1-D column per header "
-            f"field ({len(header)}), all of one length; got shapes "
-            f"{[c.shape for c in columns]}")
-    blocks = [[c[start:start + _BLOCK_ROWS] for c in columns]
-              for start in range(0, columns[0].size, _BLOCK_ROWS)]
-    # Closed before an error leaves, so that no pool thread outlives it.
-    with contextlib.closing(_table_chunks(header, blocks)) as chunks:
-        _write(path, chunks)
-
-
-def _table_chunks(header: Sequence[str], blocks):
-    """The header line, then each block's rows, in order.
-
-    The blocks are formatted on one thread per core, and at most two per
-    thread are submitted ahead of the one being written."""
+            f"field ({len(header)}), all of one length; got {len(columns)} "
+            f"columns, shaped {[a.shape for a in arrays]}")
     threads = _thread_count()
-    yield (",".join(header) + "\n").encode("utf-8")
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
+    # The pool's block closes first: its threads are joined, once the
+    # blocks still queued (two per thread at most) are formatted, before
+    # the .part file is removed and before any error leaves.
+    with _replacing(path) as out, ThreadPoolExecutor(threads) as pool:
+        out.write((",".join(header) + "\n").encode("utf-8"))
         pending = collections.deque()
-        for block in blocks:
-            pending.append(pool.submit(_format_rows, block))
+        for start in range(0, arrays[0].size, _BLOCK_ROWS):
+            pending.append(pool.submit(
+                _format_rows, [a[start:start + _BLOCK_ROWS] for a in arrays]))
             if len(pending) > 2 * threads:
-                yield pending.popleft().result()
+                out.write(pending.popleft().result())
         while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+            out.write(pending.popleft().result())
 
 
 def write_grouped_csv(path, grouped: GroupedShares) -> None:

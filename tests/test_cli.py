@@ -180,6 +180,15 @@ class TestCommands:
                                              "projection.csv")
         assert grouped.shares.sum() == pytest.approx(1.0, abs=1e-6)
 
+    def test_stable_run_removes_an_earlier_divergence_report(self, tmp_path,
+                                                             config):
+        assert main(["project", "--config", str(config),
+                     "--scenario", "4"]) == 0
+        assert (tmp_path / "out" / "divergence.json").exists()
+        assert main(["project", "--config", str(config),
+                     "--scenario", "1"]) == 0
+        assert not (tmp_path / "out" / "divergence.json").exists()
+
     def test_tax_command(self, tmp_path, config):
         assert main(["tax", "--config", str(config), "--scenario", "1"]) == 0
         grouped = fileio.read_grouped_shares(tmp_path / "out" /
@@ -430,6 +439,13 @@ class TestFileErrors:
         out.write_text("")
         self.fails(["calibrate", "--config", str(config), "--out", str(out)],
                    capsys, f"cannot write {out / 'alpha.csv'}")
+
+    def test_divergence_report_that_cannot_be_removed(self, tmp_path, config,
+                                                      capsys):
+        stale = tmp_path / "out" / "divergence.json"
+        stale.mkdir(parents=True)
+        self.fails(["project", "--config", str(config), "--scenario", "1"],
+                   capsys, f"cannot remove {stale}")
 
     def test_out_under_a_file(self, tmp_path, config, capsys):
         (tmp_path / "taken").write_text("")

@@ -208,8 +208,9 @@ class TestWriteTablePool:
         monkeypatch.setattr(fileio, "_format_rows", failing)
         return BlockError, "block 2"
 
-    def fill_the_disk(self, monkeypatch):
-        """Every write after the header and block 1 fails with ENOSPC."""
+    def fill_the_disk(self, monkeypatch, writes=2):
+        """Every write after the first ``writes`` (by default the header
+        and block 1) fails with ENOSPC."""
 
         class Full:
             def __init__(self, file):
@@ -223,7 +224,7 @@ class TestWriteTablePool:
 
             def write(self, chunk):
                 self.writes += 1
-                if self.writes > 2:
+                if self.writes > writes:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return self.file.write(chunk)
 
@@ -245,18 +246,24 @@ class TestWriteTablePool:
         assert len(threading.enumerate()) == running
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("failure", ["block", "file_system"])
+    @pytest.mark.parametrize("failure", ["block", "file_system", "lines"])
     def test_an_older_file_survives_a_failed_write(self, tmp_path,
                                                    monkeypatch, failure):
-        path = tmp_path / "alpha.csv"
+        # "lines": summary.txt and fit_report.json go through write_lines,
+        # whose one write fails.
+        lines = failure == "lines"
+        path = tmp_path / ("summary.txt" if lines else "alpha.csv")
         path.write_bytes(b"rank,alpha\n1,0.5\n")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         fail = {"block": self.fail_block_2,
-                "file_system": self.fill_the_disk}[failure]
+                "file_system": self.fill_the_disk,
+                "lines": lambda mp: self.fill_the_disk(mp, writes=0)}[failure]
         error, message = fail(monkeypatch)
-        with pytest.raises(error, match=message.replace("t.csv",
-                                                        "alpha.csv")):
-            fileio._write_table(path, ("a", "b"), *self.columns())
+        with pytest.raises(error, match=message.replace("t.csv", path.name)):
+            if lines:
+                fileio.write_lines(path, ["n = 2"])
+            else:
+                fileio._write_table(path, ("a", "b"), *self.columns())
         assert path.read_bytes() == b"rank,alpha\n1,0.5\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -265,6 +272,15 @@ class TestWriteTablePool:
         path.write_bytes(b"x" * 10 ** 6)
         assert_table_bytes(tmp_path, *self.columns())
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_symlink_is_replaced_not_written_through(self, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"kept\n")
+        path = tmp_path / "t.csv"
+        path.symlink_to(target)
+        assert_table_bytes(tmp_path, *self.columns())
+        assert not path.is_symlink() and path.is_file()
+        assert target.read_bytes() == b"kept\n"
 
 
 def traced_peak(run) -> int:
@@ -285,9 +301,9 @@ class TestWriteTableMemory:
     With T threads, at most T blocks are being formatted, each holding at
     most P bytes (its temporaries and its text, measured here on one
     block).  Up to 2T further blocks are submitted ahead of the one being
-    written, and the chunk written last is still referenced while the next
-    is fetched; each of those holds only its text, B bytes.  So the peak is
-    at most T * P + (2T + 2) * B.  Writing the whole text at once peaked at
+    written, which holds its text too, and one more is allowed as slack;
+    each of those holds only its text, B bytes.  So the peak is at most
+    T * P + (2T + 2) * B.  Writing the whole text at once peaked at
     twice the file's size: its blocks' strings, then the joined string and
     its UTF-8 copy.
     """

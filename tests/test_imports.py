@@ -5,8 +5,9 @@ no linter is part of the toolchain, so a small ``ast`` pass stands in for
 the unused-import check (the package's ``__init__`` is skipped: its imports
 are the package's public names).
 The package's modules import each other only along one declared graph
-(``LAYERS``).  And the package runs on numpy alone: importing it loads no
-scipy.
+(``LAYERS``).  Every thread pool the package makes is a ``with`` item, so
+its threads are joined before the block that made it is left.  And the
+package runs on numpy alone: importing it loads no scipy.
 """
 
 import ast
@@ -46,6 +47,26 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unscoped_pools(source: str):
+    """Lines of ``ThreadPoolExecutor(...)`` calls that are not a ``with``
+    item: a pool made any other way can outlive the error that ends its
+    caller."""
+    tree = ast.parse(source)
+    scoped = {id(item.context_expr) for node in ast.walk(tree)
+              if isinstance(node, ast.With) for item in node.items}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in scoped
+                  and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                  == "ThreadPoolExecutor")
+
+
+def test_finds_an_unscoped_pool():
+    assert unscoped_pools(
+        "with ThreadPoolExecutor(2) as pool, open(p) as f:\n    pass\n"
+        "pool = futures.ThreadPoolExecutor(max_workers=2)\n"
+        "with closing(ThreadPoolExecutor(1)):\n    pass\n") == [3, 4]
 
 
 #: The sibling modules each package module may import; ``cli`` may import
@@ -97,6 +118,11 @@ def test_imports_follow_layers(path):
     assert path.stem in LAYERS, f"{path.stem} has no place in LAYERS"
     imported = sibling_imports(path.read_text(encoding="utf-8"))
     assert imported <= LAYERS[path.stem], sorted(imported - LAYERS[path.stem])
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)
+def test_every_pool_is_a_with_item(path):
+    assert unscoped_pools(path.read_text(encoding="utf-8")) == []
 
 
 def test_import_loads_no_scipy(cli_env):
