@@ -14,7 +14,8 @@ target's), and the simulation block; the domain types check each value.
 Command-line flags override config fields.  Paths in the config resolve
 against the config file's directory, paths given as flags against the
 working directory.  Exit codes: 0 success, 1 on any :class:`RankModelError`,
-usage errors and unreadable or unwritable files included.
+usage errors and unreadable or unwritable files included, and on an n too
+large to allocate.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
+
+import numpy as np
 
 from . import fileio
 from .calibration import (
@@ -115,6 +118,10 @@ def _load_config(args) -> RunConfig:
             raw[key] = config_dir / value
 
     n = as_integer(raw.get("n", 1_000_000), "n", 2)
+    # numpy cannot shape the widest array, the long-double prefix sum, past
+    # this n; a smaller n that cannot be allocated raises MemoryError later.
+    if n > np.iinfo(np.intp).max // np.dtype(np.longdouble).itemsize:
+        raise RankModelError(f"n = {n:.3g} is too large for an array")
     sigma_variant = args.sigma or raw.get("sigma_variant", "low")
 
     target = fileio.read_grouped_shares(
@@ -142,6 +149,8 @@ def _load_config(args) -> RunConfig:
     sim = dict(raw.get("simulation", {}))
     if getattr(args, "seed", None) is not None:
         sim["seed"] = args.seed
+    # Every command checks the block; only simulate needs the seed.
+    SimConfig(n=n, report_brackets=report_brackets, **{"seed": 0, **sim})
     return RunConfig(n=n, sigma_variant=sigma_variant,
                      breakpoints=raw.get("breakpoints", DEFAULT_BREAKPOINTS),
                      target=target, volatility=volatility, trend=trend,
@@ -185,15 +194,7 @@ def _cmd_projection(cfg: RunConfig, tax: Optional[TaxSchedule]) -> int:
     out = cfg.out_dir
     fileio.write_grouped_csv(out / "projection.csv", outcome.grouped)
     fileio.write_loglog_csv(out / "loglog.csv", outcome.shares)
-    divergence = out / "divergence.json"
-    if outcome.kind == "divergent":
-        fileio.write_divergence_json(divergence, outcome.report)
-    else:  # an earlier divergent run's report would contradict this one
-        try:
-            divergence.unlink(missing_ok=True)
-        except OSError as exc:
-            raise RankModelError(f"cannot remove {divergence}: {exc}"
-                                 ) from exc
+    fileio.write_divergence_json(out / "divergence.json", outcome.report)
     for bracket, share in zip(outcome.grouped.brackets,
                               outcome.grouped.shares):
         print(f"  {_label(*bracket)}: {100 * share:.1f}%")
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](_load_config(args))
-    except RankModelError as exc:
+    except (RankModelError, MemoryError) as exc:  # MemoryError: a vast n
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

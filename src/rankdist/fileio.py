@@ -372,9 +372,16 @@ def write_loglog_csv(path, shares) -> None:
 
 
 def write_divergence_json(path, report) -> None:
+    """``report`` as indented JSON when it is divergent; a stable report
+    leaves no file, so an earlier run's, which would contradict it, goes.
+    An :class:`OSError` raises :class:`RankModelError` naming the path."""
     if report.stable:
-        raise RankModelError("a stable report has no divergent top group")
-    write_lines(path, [json.dumps(dataclasses.asdict(report), indent=2)])
+        try:
+            Path(path).unlink(missing_ok=True)
+        except OSError as exc:
+            raise RankModelError(f"cannot remove {path}: {exc}") from exc
+    else:
+        write_lines(path, [json.dumps(dataclasses.asdict(report), indent=2)])
 
 
 def write_path_csv(path, times: np.ndarray, group_shares: np.ndarray,

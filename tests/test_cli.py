@@ -301,6 +301,19 @@ class TestCommands:
         ({"grouped_shares": ["a"]}, ["project"],
          "grouped_shares must be a path string, got ['a']"),
         ({"out_dir": 5}, ["project"], "out_dir must be a path string, got 5"),
+        # Every command checks the simulation block, not only simulate.
+        ({"simulation": {"seed": 1.7}}, ["calibrate"],
+         "seed must be an integer"),
+        ({"simulation": {"drift_clip": -1}}, ["tax", "--scenario", "1"],
+         "drift_clip must be positive"),
+        ({"simulation": {"horizon": 0.01, "dt": 0.1}}, ["report"],
+         "need horizon >= record_every > 0"),
+        ({"simulation": {"horizon": 0.01, "dt": 0.1, "record_every": 0.01}},
+         ["project"], "horizon / dt must round to a finite number of steps"),
+        # Too large an n: one numpy cannot shape, and one it cannot
+        # allocate.  Each fails before any n-long array exists.
+        ({"n": 1e300}, ["report"], "n = 1e+300 is too large for an array"),
+        ({"n": 10 ** 15}, ["calibrate"], "Unable to allocate"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
             "record_every_bool", "horizon_inf", "drift_clip_nan", "dt_null",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
@@ -311,7 +324,9 @@ class TestCommands:
             "sigma_variant_unknown", "reporting_brackets_not_a_partition",
             "reporting_brackets_empty", "tax_not_a_path",
             "volatility_not_a_path", "grouped_shares_not_a_path",
-            "out_dir_not_a_path"])
+            "out_dir_not_a_path", "calibrate_checks_seed",
+            "tax_checks_drift_clip", "report_checks_horizon",
+            "project_checks_steps", "n_beyond_numpy", "n_beyond_memory"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
                                           argv, message):
         cfg = tmp_path / "cfg.json"

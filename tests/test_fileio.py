@@ -5,7 +5,9 @@ operator, and compared byte for byte with what the package wrote.
 """
 
 import errno
+import json
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -391,10 +393,19 @@ class TestPublicWriters:
         assert not (tmp_path / "t.csv").exists()
 
     def test_divergence_json_rejects_stable_report(self, tmp_path):
-        with pytest.raises(RankModelError, match="stable report"):
-            fileio.write_divergence_json(tmp_path / "d.json",
-                                         StabilityReport())
-        assert not (tmp_path / "d.json").exists()
+        """The file exists exactly when the report is divergent: a stable
+        report writes none and removes an earlier one."""
+        path = tmp_path / "d.json"
+        fileio.write_divergence_json(path, StabilityReport())
+        assert not path.exists()
+        fileio.write_divergence_json(path, StabilityReport(m=2, A_m=0.5))
+        assert json.loads(path.read_text())["m"] == 2
+        fileio.write_divergence_json(path, StabilityReport())
+        assert not path.exists()
+        path.mkdir()
+        with pytest.raises(RankModelError, match=re.escape(
+                f"cannot remove {path}: ")):
+            fileio.write_divergence_json(path, StabilityReport())
 
     def test_path_csv(self, tmp_path):
         brackets = ((0, 0.01), (0.01, 1), (1, 100))

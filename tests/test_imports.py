@@ -6,8 +6,11 @@ the unused-import check (the package's ``__init__`` is skipped: its imports
 are the package's public names).
 The package's modules import each other only along one declared graph
 (``LAYERS``).  Every thread pool the package makes is a ``with`` item, so
-its threads are joined before the block that made it is left.  And the
-package runs on numpy alone: importing it loads no scipy.
+its threads are joined before the block that made it is left.  Only
+``fileio`` writes, replaces or removes a file, so the rules for outputs
+(a scoped ``.part`` file, an ``OSError`` reported as a ``RankModelError``
+naming the path) have one home.  And the package runs on numpy alone:
+importing it loads no scipy.
 """
 
 import ast
@@ -69,6 +72,35 @@ def test_finds_an_unscoped_pool():
         "with closing(ThreadPoolExecutor(1)):\n    pass\n") == [3, 4]
 
 
+#: Calls that write, replace or remove a file: ``open`` and the ``Path``
+#: methods by name, whatever they are called on, and the ``os`` functions
+#: as ``os.<name>`` (a bare ``replace`` is most often ``str.replace``).
+FILE_WRITES = {"open", "write_text", "write_bytes", "unlink", "mkdir",
+               "rename", "touch", "os.replace", "os.remove", "os.unlink",
+               "os.rename", "os.makedirs"}
+
+
+def file_writes(source: str):
+    """Lines of calls to a ``FILE_WRITES`` function."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            owner = getattr(getattr(node.func, "value", None), "id", "")
+            if name in FILE_WRITES or f"{owner}.{name}" in FILE_WRITES:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_a_file_write():
+    assert file_writes(
+        "text = path.read_text().replace('a', 'b')\n"
+        "with open(part, 'wb') as out:\n    out.write(text)\n"
+        "stale.unlink(missing_ok=True)\nos.replace(part, path)\n"
+        "Path(out_dir).mkdir(parents=True)\nos.makedirs(d)\n") == [
+            2, 4, 5, 6, 7]
+
+
 #: The sibling modules each package module may import; ``cli`` may import
 #: any of them.  A module missing here fails the test until it is placed.
 LAYERS = {
@@ -118,6 +150,13 @@ def test_imports_follow_layers(path):
     assert path.stem in LAYERS, f"{path.stem} has no place in LAYERS"
     imported = sibling_imports(path.read_text(encoding="utf-8"))
     assert imported <= LAYERS[path.stem], sorted(imported - LAYERS[path.stem])
+
+
+@pytest.mark.parametrize("path", [path for path in PACKAGE
+                                  if path.stem != "fileio"],
+                         ids=lambda path: path.stem)
+def test_only_fileio_writes_files(path):
+    assert file_writes(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)
