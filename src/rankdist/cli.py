@@ -87,7 +87,7 @@ class RunConfig:
     tax: TaxSchedule
     report_brackets: Tuple[Tuple[float, float], ...]
     out_dir: Path
-    sim: dict
+    sim: Optional[SimConfig]
 
 
 def _load_config(args) -> RunConfig:
@@ -98,9 +98,10 @@ def _load_config(args) -> RunConfig:
         try:
             # utf-8-sig: an editor may save the file with a BOM.
             raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        # A UnicodeDecodeError is a ValueError too, so its clause comes first.
         except (OSError, UnicodeDecodeError) as exc:
             raise RankModelError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise RankModelError(f"config {path} is not valid JSON: {exc}"
                                  ) from exc
         _check_keys(raw, _CONFIG_KEYS, f"config {path}")
@@ -146,16 +147,17 @@ def _load_config(args) -> RunConfig:
         raw.get("reporting_brackets", target.brackets), "reporting_brackets",
         partition=True)
     out_dir = Path(args.out or raw.get("out_dir") or ".")
-    sim = dict(raw.get("simulation", {}))
+    block = dict(raw.get("simulation", {}))
     if getattr(args, "seed", None) is not None:
-        sim["seed"] = args.seed
+        block["seed"] = args.seed
     # Every command checks the block; only simulate needs the seed.
-    SimConfig(n=n, report_brackets=report_brackets, **{"seed": 0, **sim})
+    sim = SimConfig(n=n, report_brackets=report_brackets,
+                    **{"seed": 0, **block})
     return RunConfig(n=n, sigma_variant=sigma_variant,
                      breakpoints=raw.get("breakpoints", DEFAULT_BREAKPOINTS),
                      target=target, volatility=volatility, trend=trend,
                      tax=tax, report_brackets=report_brackets,
-                     out_dir=out_dir, sim=sim)
+                     out_dir=out_dir, sim=sim if "seed" in block else None)
 
 
 def _calibrated(cfg: RunConfig):
@@ -204,17 +206,15 @@ def _cmd_projection(cfg: RunConfig, tax: Optional[TaxSchedule]) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    if "seed" not in cfg.sim:
+    if cfg.sim is None:
         raise RankModelError("simulate requires --seed (or a config seed)")
-    sim_config = SimConfig(n=cfg.n, report_brackets=cfg.report_brackets,
-                           **cfg.sim)
     shares, _fit, params = _calibrated(cfg)
-    path = simulate_ranked(_adjusted(params, cfg.trend), sim_config, shares)
+    path = simulate_ranked(_adjusted(params, cfg.trend), cfg.sim, shares)
     out = cfg.out_dir
     fileio.write_path_csv(out / "path.csv", path.times, path.group_shares,
                           cfg.report_brackets)
-    print(f"simulated {sim_config.horizon:g} years at dt={sim_config.dt:g} "
-          f"(seed {sim_config.seed}); wrote {out / 'path.csv'}")
+    print(f"simulated {cfg.sim.horizon:g} years at dt={cfg.sim.dt:g} "
+          f"(seed {cfg.sim.seed}); wrote {out / 'path.csv'}")
     return 0
 
 

@@ -189,12 +189,17 @@ def _thread_count() -> int:
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
-    """``values`` as a float64 array; what numpy cannot convert raises
-    :class:`RankModelError` naming ``name``."""
+    """``values`` as a float64 array; anything but integers and floats
+    (strings, bytes and bools included) raises :class:`RankModelError`
+    naming ``name``.  A float64 array comes back uncopied."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise RankModelError(f"{name} must hold numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise RankModelError(f"{name} must hold numbers, got dtype "
+                             f"{arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:

@@ -146,22 +146,28 @@ class TestFitPiecewisePareto:
         with pytest.raises(rd.RankModelError, match=message):
             fit(breakpoints)
 
+    NOT_DESCENDING = "fitted shares are not strictly descending "
+
     @pytest.mark.parametrize("slopes, message", [
-        ((0.5, -1.0, -1.0), r"\(a fitted slope is nonnegative\)"),
-        ((-1.0, -0.0, -1.0), r"\(a fitted slope is nonnegative\)"),
+        ((0.5, -1.0, -1.0),
+         NOT_DESCENDING + r"\(a fitted slope is nonnegative\)"),
+        ((-1.0, -0.0, -1.0),
+         NOT_DESCENDING + r"\(a fitted slope is nonnegative\)"),
         # Slopes this shallow step each log share by less than half an ulp
         # of 1, so exp rounds neighbours to the same weight.
-        ((-1e-13, -1e-13, -1e-13), r"\(every fitted slope is negative, but "
-                                   r"the shares round to a tie at rank 506\)"),
-    ], ids=["positive_slope", "negative_zero_slope", "rounding_tie"])
+        ((-1e-13, -1e-13, -1e-13),
+         NOT_DESCENDING + r"\(every fitted slope is negative, but the "
+                          r"shares round to a tie at rank 506\)"),
+        # A vertex holding a NaN is a fit that did not converge.
+        ((np.nan, -1.0, -1.0), "piecewise log-log fit did not converge"),
+    ], ids=["positive_slope", "negative_zero_slope", "rounding_tie",
+            "not_converged"])
     def test_not_descending_names_the_cause(self, monkeypatch, slopes,
                                             message):
         monkeypatch.setattr(calibration, "minimize", lambda objective, start:
                             calibration.SimplexResult(np.array(slopes), 0.5,
                                                       1))
-        with pytest.raises(rd.FitFailedError,
-                           match="fitted shares are not strictly descending "
-                                 + message):
+        with pytest.raises(rd.FitFailedError, match=message):
             rd.fit_piecewise_pareto(TARGET_2012, 10**4)
 
     def test_infeasible_target(self):

@@ -219,6 +219,17 @@ class TestCommands:
         assert lines[0] == "year,top_0_10,top_10_100"
         assert len(lines) == 3  # header + years 1, 2
 
+    def test_simulate_builds_its_settings_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return rd.SimConfig(*args, **kwargs)
+
+        monkeypatch.setattr("rankdist.cli.SimConfig", counted)
+        self.test_simulate_writes_path(tmp_path)
+        assert len(built) == 1
+
     def test_simulate_byte_identical_across_thread_env(self, tmp_path,
                                                        cli_env):
         (tmp_path / "target.csv").write_text(self.COARSE_CSV)
@@ -399,9 +410,16 @@ class TestCommands:
                      "--out", str(tmp_path / "out")]) == 1
         assert "unknown sigma variant 'mid'" in capsys.readouterr().err
 
-    def test_config_not_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "{\"n\": 10000,",
+        # Past Python's limit on integer strings json.loads raises a plain
+        # ValueError, and past its recursion limit a RecursionError.
+        "{\"n\": " + "1" * 4301 + "}",
+        "[" * 1000,
+    ], ids=["truncated", "long_integer", "deep_nesting"])
+    def test_config_not_json(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{\"n\": 10000,")
+        cfg.write_text(text)
         assert main(["project", "--config", str(cfg)]) == 1
         assert "is not valid JSON" in capsys.readouterr().err
 

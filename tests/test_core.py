@@ -309,9 +309,13 @@ class TestBracketLists:
             as_brackets(5, "brackets", partition=False)
 
 
-#: Two-entry columns numpy cannot convert to float64.
+#: Two-entry columns that are not numbers: numpy cannot convert the first
+#: three to float64, and would parse the last three, which a scalar input
+#: rejects (``as_finite``).
 NOT_NUMBERS = {"strings": ["a", "b"], "objects": [{}, {}],
-               "ragged": [[0.5], [0.5, 0.5]]}
+               "ragged": [[0.5], [0.5, 0.5]],
+               "numeric_strings": ["0.5", "0.5"],
+               "bytes": [b"0.5", b"0.5"], "bools": [True, False]}
 
 
 class TestBracketTables:
