@@ -27,8 +27,8 @@ from .core import (
     VolatilityTable,
     _as_float_vector,
     as_finite,
-    as_integer,
     as_pair,
+    as_rank_count,
     bracket_to_ranks,
     group_shares,
     per_rank_values,
@@ -126,7 +126,7 @@ def expand_sigma(table: VolatilityTable, n: int, variant: str) -> np.ndarray:
     Gap k (between ranks k and k+1) takes the value of the bracket containing
     its upper rank k; the result is piecewise constant.
     """
-    n = as_integer(n, "n", 2)
+    n = as_rank_count(n)
     return per_rank_values(table.brackets, table.variant(variant), n)[:n - 1]
 
 
@@ -339,7 +339,7 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
     search deterministic; the best objective wins, ties broken by restart
     order.
     """
-    n = as_integer(n, "n", 2)
+    n = as_rank_count(n)
     b1, b2 = _knees(n, breakpoints)
     bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
                              for b in target.brackets], dtype=np.intp)

@@ -2,11 +2,11 @@
 
 Subcommands::
 
-    rankdist calibrate --config cfg.json [--sigma low|high] [--out DIR]
-    rankdist project   --config cfg.json [--scenario 1..4] [--sigma ...] [--out DIR]
-    rankdist tax       --config cfg.json [--scenario 1..4] [--sigma ...] [--out DIR]
+    rankdist calibrate --config cfg.json [--sigma VARIANT] [--out DIR]
+    rankdist project   --config cfg.json [--scenario ID|CSV] [--sigma ...] [--out DIR]
+    rankdist tax       --config cfg.json [--scenario ID|CSV] [--sigma ...] [--out DIR]
     rankdist simulate  --config cfg.json --seed N [--scenario ...] [--out DIR]
-    rankdist report    --config cfg.json [--sigma low|high] [--out DIR]
+    rankdist report    --config cfg.json [--sigma VARIANT] [--out DIR]
 
 The JSON config selects the population size, sigma variant, data files
 (falling back to packaged defaults), reporting brackets (by default the
@@ -21,14 +21,11 @@ large to allocate.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
-
-import numpy as np
 
 from . import fileio
 from .calibration import (
@@ -46,9 +43,10 @@ from .core import (
     VolatilityTable,
     _thread_count,
     as_brackets,
-    as_integer,
+    as_rank_count,
 )
 from .scenarios import (
+    PRESETS,
     apply_tax,
     apply_trend,
     default_capital_tax,
@@ -95,15 +93,7 @@ def _load_config(args) -> RunConfig:
     if args.config is not None:
         path = Path(args.config)
         config_dir = path.parent
-        try:
-            # utf-8-sig: an editor may save the file with a BOM.
-            raw = json.loads(path.read_text(encoding="utf-8-sig"))
-        # A UnicodeDecodeError is a ValueError too, so its clause comes first.
-        except (OSError, UnicodeDecodeError) as exc:
-            raise RankModelError(f"cannot read config {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise RankModelError(f"config {path} is not valid JSON: {exc}"
-                                 ) from exc
+        raw = fileio.read_config(path)
         _check_keys(raw, _CONFIG_KEYS, f"config {path}")
         _check_keys(raw.get("simulation", {}), _SIMULATION_KEYS,
                     f"config {path} simulation block")
@@ -118,12 +108,10 @@ def _load_config(args) -> RunConfig:
                                      f"{value!r}")
             raw[key] = config_dir / value
 
-    n = as_integer(raw.get("n", 1_000_000), "n", 2)
-    # numpy cannot shape the widest array, the long-double prefix sum, past
-    # this n; a smaller n that cannot be allocated raises MemoryError later.
-    if n > np.iinfo(np.intp).max // np.dtype(np.longdouble).itemsize:
-        raise RankModelError(f"n = {n:.3g} is too large for an array")
-    sigma_variant = args.sigma or raw.get("sigma_variant", "low")
+    # Checked before any data file is read.
+    n = as_rank_count(raw.get("n", 1_000_000))
+    sigma_variant = (args.sigma
+                     or raw.get("sigma_variant", VolatilityTable.VARIANTS[0]))
 
     target = fileio.read_grouped_shares(
         raw.get("grouped_shares") or fileio.DATA_DIR / "wealth2012.csv")
@@ -236,7 +224,7 @@ def cmd_report(cfg: RunConfig) -> int:
                   if outcome.kind == "divergent" else "")
         return f"{title}: {row}{suffix}"
 
-    jobs = [(s, t) for t in (False, True) for s in (1, 2, 3, 4)]
+    jobs = [(s, t) for t in (False, True) for s in PRESETS]
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         rows = list(pool.map(lambda job: cell(*job), jobs))
 
@@ -277,9 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
         if "--scenario" in flags:
-            p.add_argument("--scenario",
-                           help="trend preset 1..4 or a trend CSV")
-        p.add_argument("--sigma", choices=["low", "high"],
+            p.add_argument("--scenario", help=f"trend preset {min(PRESETS)}.."
+                                              f"{max(PRESETS)} or a trend CSV")
+        p.add_argument("--sigma", choices=VolatilityTable.VARIANTS,
                        help="volatility variant")
         p.add_argument("--out", help="output directory")
         if "--seed" in flags:

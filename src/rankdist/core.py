@@ -53,6 +53,7 @@ __all__ = [
     "make_rank_parameters",
     "check_zero_sum",
     "as_integer",
+    "as_rank_count",
     "as_finite",
     "as_pair",
     "as_brackets",
@@ -134,7 +135,7 @@ class GroupUnstableError(RankModelError):
 
 
 class UnknownScenarioError(RankModelError):
-    """Scenario preset id outside 1..4."""
+    """A scenario id that names no trend preset."""
 
 
 class NegativeInputError(RankModelError):
@@ -181,11 +182,37 @@ def prefix_sum(values: np.ndarray) -> np.ndarray:
     return sums.astype(np.float64)
 
 
+def as_rank_count(n) -> int:
+    """``n``, a number of ranks, as an int >= 2 whose long-double prefix
+    sum numpy can shape; a larger n raises :class:`RankModelError` before
+    anything is allocated.  A smaller n that memory cannot hold raises
+    MemoryError later."""
+    n = as_integer(n, "n", 2)
+    if n > np.iinfo(np.intp).max // np.dtype(np.longdouble).itemsize:
+        raise RankModelError(f"n = {n:.3g} is too large for an array")
+    return n
+
+
 def _thread_count() -> int:
     """Threads for a pool: one per core.  A pool starts no more threads than
     it is given jobs; more threads than cores only leave their freed arrays
     behind in glibc's per-thread arenas, raising the process's RSS."""
     return os.cpu_count() or 1
+
+
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is a bool, a bool array or a (nested) list or
+    tuple holding one; an array is judged by its dtype, never scanned.
+    A flat list is read by its element types alone, at C speed."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if not isinstance(values, (list, tuple)):
+        return isinstance(values, (bool, np.bool_))
+    types = set(map(type, values))
+    if types & {bool, np.bool_}:
+        return True
+    return not types.isdisjoint({list, tuple, np.ndarray}) and any(
+        map(_holds_bool, values))
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -199,6 +226,9 @@ def _as_float_array(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise RankModelError(f"{name} must hold numbers, got dtype "
                              f"{arr.dtype}")
+    # numpy reads [0.5, True] as float64; only a list can hide a bool.
+    if not isinstance(values, np.ndarray) and _holds_bool(values):
+        raise RankModelError(f"{name} must hold numbers, got a bool")
     return arr.astype(np.float64, copy=False)
 
 
@@ -361,6 +391,9 @@ class GroupedShares:
 
     def __post_init__(self):
         _freeze_table(self, "shares", partition=True)
+        # Zero is legal: a divergent limit is exactly 0 below its top group.
+        if np.any(self.shares < 0):
+            raise NegativeInputError("grouped shares must be nonnegative")
         if abs(self.shares.sum() - 1.0) > 1e-6:
             raise BadSumError(f"grouped shares sum to {self.shares.sum():.8f}"
                               f", expected 1 within 1e-6")
@@ -374,18 +407,20 @@ class VolatilityTable:
     sigma_low: np.ndarray
     sigma_high: np.ndarray
 
+    #: The variant names, the default first; variant ``v`` is ``sigma_v``.
+    VARIANTS = ("low", "high")
+
     def __post_init__(self):
         _freeze_table(self, "sigma_low", "sigma_high", partition=True)
         if np.any(self.sigma_low <= 0) or np.any(self.sigma_high <= 0):
             raise NonPositiveSigmaError("volatilities must be positive")
 
     def variant(self, which: str) -> np.ndarray:
-        if which == "low":
-            return self.sigma_low
-        if which == "high":
-            return self.sigma_high
-        raise RankModelError(f"unknown sigma variant {which!r}; "
-                             f"expected 'low' or 'high'")
+        if which not in self.VARIANTS:
+            raise RankModelError(
+                f"unknown sigma variant {which!r}; expected "
+                f"{' or '.join(map(repr, self.VARIANTS))}")
+        return getattr(self, f"sigma_{which}")
 
 
 @dataclass(frozen=True)

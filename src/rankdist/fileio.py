@@ -1,5 +1,7 @@
 """CSV/JSON readers and writers for data files and result emission.
 
+Every file the package reads or writes goes through this module.
+
 All files are UTF-8 with LF line endings and '.' decimal separator.
 Machine-readable numbers are written with 17 significant digits so every
 emitted CSV round-trips through its own reader bit-exactly.
@@ -31,6 +33,7 @@ from .core import (
 )
 
 __all__ = [
+    "read_config",
     "read_grouped_shares",
     "read_volatility_table",
     "read_trend",
@@ -47,6 +50,21 @@ __all__ = [
 ]
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def read_config(path):
+    """The JSON value in the run configuration file ``path``; an unreadable
+    file or invalid JSON raises :class:`RankModelError` naming the path."""
+    path = Path(path)
+    try:
+        # utf-8-sig: an editor may save the file with a BOM.
+        return json.loads(path.read_text(encoding="utf-8-sig"))
+    # A UnicodeDecodeError is a ValueError too, so its clause comes first.
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RankModelError(f"cannot read config {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise RankModelError(f"config {path} is not valid JSON: {exc}"
+                             ) from exc
 
 
 def _read_table(path, make, *values: str):

@@ -50,13 +50,16 @@ __all__ = [
     "apply_trend",
     "apply_tax",
     "recenter",
+    "PRESETS",
     "preset_scenario",
     "default_capital_tax",
     "project",
 ]
 
-#: Trend presets by id: (brackets, annual growth per bracket).
-_PRESETS = {
+#: Trend presets by consecutive id: (brackets, annual growth per bracket).
+#: :func:`preset_scenario`, the CLI's report grid and its ``--scenario``
+#: help all read the ids from here.
+PRESETS = {
     1: ((), ()),
     2: (((0.0, 0.01), (10.0, 100.0)), (0.01, -0.005)),
     3: (((0.0, 0.01), (0.01, 0.1), (10.0, 100.0)), (0.015, 0.005, -0.01)),
@@ -122,12 +125,14 @@ def preset_scenario(scenario_id: int) -> TrendSpec:
     3: top 0.01% +1.5%/yr, next 0.01-0.1% +0.5%/yr, bottom 90% -1%/yr.
     4: top 0.01% +3%/yr, next 0.01-0.1% +1%/yr, bottom 90% -1.5%/yr.
     """
+    first, last = min(PRESETS), max(PRESETS)
     try:
-        scenario_id = as_integer(scenario_id, "scenario", 1, 5)
+        scenario_id = as_integer(scenario_id, "scenario", first, last + 1)
     except RankModelError:
-        raise UnknownScenarioError(f"scenario must be an integer in 1..4, "
-                                   f"got {scenario_id!r}") from None
-    return TrendSpec(*_PRESETS[scenario_id])
+        raise UnknownScenarioError(f"scenario must be an integer in "
+                                   f"{first}..{last}, got {scenario_id!r}"
+                                   ) from None
+    return TrendSpec(*PRESETS[scenario_id])
 
 
 def default_capital_tax() -> TaxSchedule:

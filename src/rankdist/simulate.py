@@ -37,6 +37,7 @@ from .core import (
     as_brackets,
     as_finite,
     as_integer,
+    as_rank_count,
     bracket_to_ranks,
     prefix_sum,
 )
@@ -84,7 +85,7 @@ class SimConfig:
     drift_clip: Optional[float] = None
 
     def __post_init__(self):
-        _freeze(self, n=as_integer(self.n, "n", 2),
+        _freeze(self, n=as_rank_count(self.n),
                 seed=as_integer(self.seed, "seed", 0, 2 ** 64))
         for name in ("dt", "horizon", "record_every"):
             _freeze(self, **{name: as_finite(getattr(self, name), name)})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rankdist as rd
-from rankdist import fileio
+from rankdist import fileio, scenarios
 from rankdist.cli import main
 
 
@@ -102,7 +102,10 @@ class TestReaders:
          rd.BracketGapError),
         (fileio.read_tax, "lo_pct,hi_pct,tax_rate_per_year\n0,1,-0.01\n",
          rd.NegativeInputError),
-    ], ids=["grouped", "volatility", "trend", "tax"])
+        (fileio.read_grouped_shares,
+         "lo_pct,hi_pct,share\n0,10,1.2\n10,100,-0.2\n",
+         rd.NegativeInputError),
+    ], ids=["grouped", "volatility", "trend", "tax", "grouped_negative"])
     def test_table_error_names_its_file(self, tmp_path, read, text, error):
         path = tmp_path / "table.csv"
         path.write_text(text)
@@ -259,6 +262,17 @@ class TestCommands:
         text = (tmp_path / "out" / "summary.txt").read_text()
         assert "scenario 4" in text
         assert "capital tax" in text
+
+    def test_commands_read_the_preset_table(self, tmp_path, config, capsys,
+                                            monkeypatch):
+        monkeypatch.setitem(scenarios.PRESETS, 5, scenarios.PRESETS[4])
+        assert main(["report", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("scenario 5: ") for line in lines)
+        assert any(line.startswith("scenario 5 + capital tax: ")
+                   for line in lines)
+        assert main(["project", "--config", str(config),
+                     "--scenario", "5"]) == 0
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

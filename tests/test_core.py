@@ -1,13 +1,15 @@
 """Unit tests for domain types, validation, and bracket arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankdist as rd
-from rankdist.core import as_brackets, as_integer, per_rank_values
+from rankdist.core import (as_brackets, as_integer, as_rank_count,
+                           per_rank_values)
 
 
 class TestMakeRankedShares:
@@ -107,6 +109,36 @@ class TestFrozenFieldsLeaveCallerArraysAlone:
             frozen[0] = 1.0
         values[0] = 0.75
         assert frozen[0] == 0.75
+
+
+class TestRankCount:
+    """Each size argument rejects an n whose long-double prefix sum numpy
+    cannot shape, before it allocates anything."""
+
+    @pytest.mark.parametrize("make", [
+        lambda n: rd.expand_sigma(rd.default_volatility_table(), n, "low"),
+        lambda n: rd.fit_piecewise_pareto(
+            rd.GroupedShares(brackets=((0, 10), (10, 100)),
+                             shares=[0.6, 0.4]), n),
+        lambda n: rd.SimConfig(n=n, seed=0, report_brackets=((0, 100),)),
+    ], ids=["expand_sigma", "fit_piecewise_pareto", "SimConfig"])
+    def test_too_large_for_an_array(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rd.RankModelError,
+                               match="too large for an array"):
+                make(2 ** 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_largest_shapeable_n_passes(self):
+        n = np.iinfo(np.intp).max // np.dtype(np.longdouble).itemsize
+        assert as_rank_count(float(2 ** 40)) == 2 ** 40
+        assert as_rank_count(n) == n
+        with pytest.raises(rd.RankModelError, match="must be an integer"):
+            as_rank_count(1)
 
 
 class TestBracketToRanks:
@@ -310,12 +342,13 @@ class TestBracketLists:
 
 
 #: Two-entry columns that are not numbers: numpy cannot convert the first
-#: three to float64, and would parse the last three, which a scalar input
+#: three to float64, and would parse the last four, which a scalar input
 #: rejects (``as_finite``).
 NOT_NUMBERS = {"strings": ["a", "b"], "objects": [{}, {}],
                "ragged": [[0.5], [0.5, 0.5]],
                "numeric_strings": ["0.5", "0.5"],
-               "bytes": [b"0.5", b"0.5"], "bools": [True, False]}
+               "bytes": [b"0.5", b"0.5"], "bools": [True, False],
+               "mixed_bools": [0.5, True]}
 
 
 class TestBracketTables:

@@ -7,9 +7,9 @@ are the package's public names).
 The package's modules import each other only along one declared graph
 (``LAYERS``).  Every thread pool the package makes is a ``with`` item, so
 its threads are joined before the block that made it is left.  Only
-``fileio`` writes, replaces or removes a file, so the rules for outputs
-(a scoped ``.part`` file, an ``OSError`` reported as a ``RankModelError``
-naming the path) have one home.  And the package runs on numpy alone:
+``fileio`` reads, writes, replaces or removes a file, so the rules for
+inputs and outputs (a BOM allowed, a scoped ``.part`` file, an ``OSError``
+reported as a ``RankModelError`` naming the path) have one home.  And the package runs on numpy alone:
 importing it loads no scipy.
 """
 
@@ -80,25 +80,37 @@ FILE_WRITES = {"open", "write_text", "write_bytes", "unlink", "mkdir",
                "os.rename", "os.makedirs"}
 
 
-def file_writes(source: str):
-    """Lines of calls to a ``FILE_WRITES`` function."""
+#: Calls that read a file, named the same way.
+FILE_READS = {"open", "read_text", "read_bytes"}
+
+
+def file_calls(source: str, calls):
+    """Lines of calls to a function in ``calls`` (``FILE_WRITES`` or
+    ``FILE_READS``)."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", ""))
             owner = getattr(getattr(node.func, "value", None), "id", "")
-            if name in FILE_WRITES or f"{owner}.{name}" in FILE_WRITES:
+            if name in calls or f"{owner}.{name}" in calls:
                 lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_finds_a_file_write():
-    assert file_writes(
+    assert file_calls(
         "text = path.read_text().replace('a', 'b')\n"
         "with open(part, 'wb') as out:\n    out.write(text)\n"
         "stale.unlink(missing_ok=True)\nos.replace(part, path)\n"
-        "Path(out_dir).mkdir(parents=True)\nos.makedirs(d)\n") == [
-            2, 4, 5, 6, 7]
+        "Path(out_dir).mkdir(parents=True)\nos.makedirs(d)\n",
+        FILE_WRITES) == [2, 4, 5, 6, 7]
+
+
+def test_finds_a_file_read():
+    assert file_calls(
+        "raw = json.loads(path.read_text(encoding='utf-8'))\n"
+        "data = Path(p).read_bytes()\nwith open(p) as f:\n    f.read()\n"
+        "text = ''.join(lines)\n", FILE_READS) == [1, 2, 3]
 
 
 #: The sibling modules each package module may import; ``cli`` may import
@@ -114,6 +126,7 @@ LAYERS = {
 LAYERS["cli"] = set(LAYERS)
 PACKAGE = sorted(path for path in MODULES
                  if path.parent == Path(rankdist.__file__).parent)
+OUTSIDE_FILEIO = [path for path in PACKAGE if path.stem != "fileio"]
 
 
 def sibling_imports(source: str):
@@ -152,11 +165,14 @@ def test_imports_follow_layers(path):
     assert imported <= LAYERS[path.stem], sorted(imported - LAYERS[path.stem])
 
 
-@pytest.mark.parametrize("path", [path for path in PACKAGE
-                                  if path.stem != "fileio"],
-                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", OUTSIDE_FILEIO, ids=lambda path: path.stem)
 def test_only_fileio_writes_files(path):
-    assert file_writes(path.read_text(encoding="utf-8")) == []
+    assert file_calls(path.read_text(encoding="utf-8"), FILE_WRITES) == []
+
+
+@pytest.mark.parametrize("path", OUTSIDE_FILEIO, ids=lambda path: path.stem)
+def test_only_fileio_reads_files(path):
+    assert file_calls(path.read_text(encoding="utf-8"), FILE_READS) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)

@@ -475,12 +475,17 @@ class TestSimulationPathArrays:
     @pytest.mark.parametrize("overrides, message", [
         (dict(group_shares=[0.5, 0.5]), "2-D"),
         (dict(group_shares=[[["x"]]]), "group_shares must hold numbers"),
+        (dict(group_shares=[[0.25, 0.75], [1.0, False]]),
+         "group_shares must hold numbers"),
+        (dict(group_shares=[np.array([0.25, 0.75]), np.array([True, False])]),
+         "group_shares must hold numbers"),
         (dict(times=[[1.0, 2.0]]), "one entry per recorded row"),
         (dict(times="ab"), "times must hold numbers"),
         (dict(rank_gap_averages=[[0.5, 0.25, 0.1]]), "n - 1 entries"),
         (dict(rank_gap_averages=0.5), "n - 1 entries"),
         (dict(final_shares=[0.25] * 4), "final_shares must be a RankedShares"),
-    ], ids=["one_d_shares", "shares_not_numbers", "two_d_times",
+    ], ids=["one_d_shares", "shares_not_numbers", "row_with_a_bool",
+            "row_of_bools", "two_d_times",
             "times_not_numbers", "two_d_gaps", "scalar_gap",
             "final_shares_not_ranked"])
     def test_misshapen_rejected(self, overrides, message):
