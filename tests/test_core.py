@@ -133,10 +133,11 @@ class TestRankCount:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
-    def test_largest_shapeable_n_passes(self):
+    def test_bound_is_the_largest_shapeable_n(self):
         n = np.iinfo(np.intp).max // np.dtype(np.longdouble).itemsize
-        assert as_rank_count(float(2 ** 40)) == 2 ** 40
         assert as_rank_count(n) == n
+        with pytest.raises(rd.RankModelError, match="too large"):
+            as_rank_count(n + 1)
         with pytest.raises(rd.RankModelError, match="must be an integer"):
             as_rank_count(1)
 
