@@ -3,74 +3,14 @@
 Calibration from grouped wealth-shares data, closed-form stable-distribution
 solving and inversion, stability/divergence analysis, scenario and
 capital-tax projections, and a Monte Carlo ranked-particle simulator.
+Each module's ``__all__`` lists the names the package exports from it.
 """
 
-from .core import (
-    BadAlphaSumError,
-    BadNormalizationError,
-    BadSumError,
-    BracketGapError,
-    FitFailedError,
-    GroupedShares,
-    GroupUnstableError,
-    InfeasibleTargetError,
-    NegativeInputError,
-    NonIntegerBoundaryError,
-    NonPositiveKappaError,
-    NonPositiveShareError,
-    NonPositiveSigmaError,
-    NotDescendingError,
-    NotDivergentError,
-    ParseError,
-    RankedShares,
-    RankModelError,
-    RankParameters,
-    StabilityReport,
-    TaxSchedule,
-    TiedSharesError,
-    TrendSpec,
-    UnknownScenarioError,
-    UnstableError,
-    VolatilityTable,
-    bracket_to_ranks,
-    group_shares,
-    make_ranked_shares,
-    make_rank_parameters,
-)
-from .stable import (
-    StableGaps,
-    alpha_from_shares,
-    check_stability,
-    kappa_from_alpha,
-    shares_from_gaps,
-    stable_gaps,
-    top_group_stable,
-)
-from .calibration import (
-    DEFAULT_BREAKPOINTS,
-    PiecewiseLogLogFit,
-    calibrate,
-    default_volatility_table,
-    expand_sigma,
-    fit_piecewise_pareto,
-    volatility_from_components,
-)
-from .scenarios import (
-    ProjectionOutcome,
-    apply_tax,
-    apply_trend,
-    default_capital_tax,
-    preset_scenario,
-    project,
-    recenter,
-)
+from .core import *
+from .stable import *
+from .calibration import *
+from .scenarios import *
 from . import fileio
-from .simulate import (
-    SimConfig,
-    SimulationPath,
-    gap_average_report,
-    simulate_gap_oracle,
-    simulate_ranked,
-)
+from .simulate import *
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ __all__ = [
     "default_volatility_table",
     "volatility_from_components",
     "expand_sigma",
-    "minimize",
     "fit_piecewise_pareto",
     "calibrate",
 ]

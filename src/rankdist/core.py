@@ -51,16 +51,8 @@ __all__ = [
     "StabilityReport",
     "make_ranked_shares",
     "make_rank_parameters",
-    "check_zero_sum",
-    "as_integer",
-    "as_rank_count",
-    "as_finite",
-    "as_pair",
-    "as_brackets",
     "bracket_to_ranks",
-    "per_rank_values",
     "group_shares",
-    "prefix_sum",
 ]
 
 
@@ -505,7 +497,8 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
     """Map a percent bracket to an inclusive 1-indexed rank range.
 
     ``(0, 0.01)`` at n = 10**6 maps to ranks (1, 100).  Boundaries must land
-    on integer ranks for the given n.
+    on integer ranks for the given n, and the bracket must hold at least
+    one rank.
     """
     bracket, = as_brackets([bracket], "bracket", partition=False)
     n = as_integer(n, "n", 1)
@@ -515,7 +508,11 @@ def bracket_to_ranks(bracket: Bracket, n: int) -> Tuple[int, int]:
             raise NonIntegerBoundaryError(
                 f"bracket boundary {pct}% maps to non-integer rank {exact} "
                 f"at n={n}")
-    return round(ranks[0]) + 1, round(ranks[1])
+    lo_rank, hi_rank = round(ranks[0]) + 1, round(ranks[1])
+    if hi_rank < lo_rank:
+        raise NonIntegerBoundaryError(
+            f"bracket {bracket} holds no rank at n={n}")
+    return lo_rank, hi_rank
 
 
 def per_rank_values(brackets: Sequence[Bracket], values,

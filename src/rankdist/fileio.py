@@ -58,13 +58,33 @@ def read_config(path):
     path = Path(path)
     try:
         # utf-8-sig: an editor may save the file with a BOM.
-        return json.loads(path.read_text(encoding="utf-8-sig"))
+        return json.loads(path.read_text(encoding="utf-8-sig"),
+                          object_pairs_hook=_unique_keys)
     # A UnicodeDecodeError is a ValueError too, so its clause comes first.
     except (OSError, UnicodeDecodeError) as exc:
         raise RankModelError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise RankModelError(f"config {path} is not valid JSON: {exc}"
                              ) from exc
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice raises ``ValueError``
+    (``json`` alone keeps the last value silently)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def _number(cell: str) -> float:
+    """``float(cell)`` without the ``_`` digit separator it accepts, so
+    ``0_02`` is a bad number rather than 2."""
+    if "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
 
 
 def _read_table(path, make, *values: str):
@@ -96,7 +116,7 @@ def _read_table(path, make, *values: str):
             raise ParseError(path, lineno,
                              f"expected {len(header)} fields, got {len(row)}")
         try:
-            out.append([float(cell) for cell in row])
+            out.append([_number(cell) for cell in row])
         except ValueError as exc:
             raise ParseError(path, lineno, f"bad number: {exc}") from exc
     if not out:

@@ -50,7 +50,6 @@ __all__ = [
     "apply_trend",
     "apply_tax",
     "recenter",
-    "PRESETS",
     "preset_scenario",
     "default_capital_tax",
     "project",

@@ -42,7 +42,6 @@ __all__ = [
     "StableGaps",
     "kappa_from_alpha",
     "stable_gaps",
-    "gaps_from_prefix_sums",
     "shares_from_gaps",
     "alpha_from_shares",
     "check_stability",

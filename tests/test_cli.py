@@ -83,7 +83,9 @@ class TestReaders:
         ("", 1, "empty file"),
         ("lo_pct,hi_pct,share\n0,100\n", 2, "expected 3 fields, got 2"),
         ("lo_pct,hi_pct,share\n\n", 2, "no data rows"),
-    ], ids=["empty", "short_row", "no_rows"])
+        # float() reads "1_0" as 10.
+        ("lo_pct,hi_pct,share\n0,100,1_0\n", 2, "bad number"),
+    ], ids=["empty", "short_row", "no_rows", "digit_separator"])
     def test_malformed_table_reports_line(self, tmp_path, text, line,
                                           message):
         path = tmp_path / "g.csv"
@@ -339,6 +341,9 @@ class TestCommands:
         # allocate.  Each fails before any n-long array exists.
         ({"n": 1e300}, ["report"], "n = 1e+300 is too large for an array"),
         ({"n": 10 ** 15}, ["calibrate"], "Unable to allocate"),
+        # Both ends of the middle bracket round to rank 5,000.
+        ({"reporting_brackets": [[0, 50], [50, 50.00001], [50.00001, 100]]},
+         ["project"], "bracket (50.0, 50.00001) holds no rank at n=10000"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
             "record_every_bool", "horizon_inf", "drift_clip_nan", "dt_null",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
@@ -351,7 +356,8 @@ class TestCommands:
             "volatility_not_a_path", "grouped_shares_not_a_path",
             "out_dir_not_a_path", "calibrate_checks_seed",
             "tax_checks_drift_clip", "report_checks_horizon",
-            "project_checks_steps", "n_beyond_numpy", "n_beyond_memory"])
+            "project_checks_steps", "n_beyond_numpy", "n_beyond_memory",
+            "reporting_bracket_holds_no_rank"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
                                           argv, message):
         cfg = tmp_path / "cfg.json"
@@ -424,18 +430,25 @@ class TestCommands:
                      "--out", str(tmp_path / "out")]) == 1
         assert "unknown sigma variant 'mid'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "{\"n\": 10000,",
+    @pytest.mark.parametrize("text, detail", [
+        ("{\"n\": 10000,", ""),
         # Past Python's limit on integer strings json.loads raises a plain
         # ValueError, and past its recursion limit a RecursionError.
-        "{\"n\": " + "1" * 4301 + "}",
-        "[" * 1000,
-    ], ids=["truncated", "long_integer", "deep_nesting"])
-    def test_config_not_json(self, tmp_path, capsys, text):
+        ("{\"n\": " + "1" * 4301 + "}", ""),
+        ("[" * 1000, ""),
+        # json.loads alone would keep the last value of a repeated key.
+        ("{\"n\": 10000, \"n\": 10}", "repeated key 'n'"),
+        ("{\"n\": 10000, \"simulation\": {\"dt\": 0.1, \"dt\": 0.2}}",
+         "repeated key 'dt'"),
+    ], ids=["truncated", "long_integer", "deep_nesting", "repeated_key",
+            "repeated_simulation_key"])
+    def test_config_not_json(self, tmp_path, capsys, text, detail):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["project", "--config", str(cfg)]) == 1
-        assert "is not valid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err
+        assert detail in err
 
     def test_config_with_bom(self, tmp_path, config):
         config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())

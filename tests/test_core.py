@@ -155,6 +155,12 @@ class TestBracketToRanks:
     def test_non_integer_boundary(self):
         with pytest.raises(rd.NonIntegerBoundaryError):
             rd.bracket_to_ranks((0, 0.03), 1000)
+        # Each end is within the tolerance of one rank, so both round to
+        # it and the bracket holds none.
+        for bracket, n in [((50, 50.00001), 10**4), ((99.99995, 100), 10**6)]:
+            with pytest.raises(rd.NonIntegerBoundaryError,
+                               match=f"holds no rank at n={n}"):
+                rd.bracket_to_ranks(bracket, n)
 
     @pytest.mark.parametrize("bracket", [(5, 5), (20, 10), (-1, 10),
                                          (10, 101)],

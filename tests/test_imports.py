@@ -2,8 +2,9 @@
 
 No module imports a name it never uses, in the package or in its tests:
 no linter is part of the toolchain, so a small ``ast`` pass stands in for
-the unused-import check (the package's ``__init__`` is skipped: its imports
-are the package's public names).
+the unused-import check (the package's ``__init__`` is skipped: it
+star-imports each module's ``__all__``, the one list of the names the
+package exports, and restates none of them).
 The package's modules import each other only along one declared graph
 (``LAYERS``).  Every thread pool the package makes is a ``with`` item, so
 its threads are joined before the block that made it is left.  Only
@@ -50,6 +51,28 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def restated_names(source: str):
+    """Names a relative ``from .X import ...`` takes one by one rather than
+    by ``*``; a module import such as ``from . import fileio`` is not one."""
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  and node.module for alias in node.names
+                  if alias.name != "*")
+
+
+def test_finds_a_restated_name():
+    assert restated_names(
+        "from .core import *\nfrom . import fileio\nimport numpy\n"
+        "from .stable import (\n    StableGaps,\n)\n"
+        "from numpy import asarray\n") == ["StableGaps (line 4)"]
+
+
+def test_init_restates_no_name():
+    init = Path(rankdist.__file__)
+    assert restated_names(init.read_text(encoding="utf-8")) == []
 
 
 def unscoped_pools(source: str):
