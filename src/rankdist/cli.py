@@ -250,6 +250,15 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` value: an optional '-' and ASCII digits.  ``int``
+    alone would also read '1_0' as 10 and ' \u0663 ' as 3."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, like any other error
         raise RankModelError(f"{self.prog}: {message}")
@@ -271,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="volatility variant")
         p.add_argument("--out", help="output directory")
         if "--seed" in flags:
-            p.add_argument("--seed", type=int, required=False,
+            p.add_argument("--seed", type=_seed, required=False,
                            help="simulation seed (required unless in config)")
     return parser
 

@@ -12,11 +12,14 @@ Two simulators:
   and idiosyncratic shocks, re-ranking every step, and records grouped
   shares plus time-averaged adjacent log gaps.
 
-Randomness is counter-based: every step draws from a Philox generator keyed
-by (seed, step), so results are byte-identical regardless of how the work is
-scheduled across threads.  :func:`simulate_ranked` uses that: from
-``_WORKER_DRAW_MIN_N`` up it draws step s + 1's shocks on one worker thread
-while step s re-ranks, records and updates.
+Randomness is counter-based: every step of the ranked simulator draws from
+a Philox generator keyed by (seed, step), and every chunk of the oracle from
+one keyed by (seed, chunk), so results are byte-identical regardless of how
+the work is scheduled across threads.  Both draw on one worker thread:
+:func:`simulate_ranked` draws step s + 1's shocks while step s re-ranks,
+records and updates (from ``_WORKER_DRAW_MIN_N`` up), and
+:func:`simulate_gap_oracle` draws a chunk block by block while the calling
+thread computes on the blocks already drawn.
 """
 
 from __future__ import annotations
@@ -159,6 +162,11 @@ def _philox(seed: int, step: int) -> np.random.Generator:
 #: a run longer than one chunk.
 _ORACLE_CHUNK_STEPS = 1_000_000
 
+#: Steps per block of the gap oracle's passes over a chunk (256 KiB of
+#: float64, so a block's arrays stay in L2 from one operation to the next).
+#: The blocks only schedule the work: the output bits do not depend on this.
+_ORACLE_BLOCK = 1 << 15
+
 
 def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
                         burn_in: float, seed: int) -> float:
@@ -170,8 +178,20 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     law given the step endpoints.  Returns the mean of X after ``burn_in``
     years; the continuous-time limit is sigma**2 / (2 kappa).  Non-finite
     arguments, a ``dt`` that is not positive, a negative ``burn_in``, a
-    ``horizon / dt`` that rounds to no step or is too large for a float and
-    a seed outside [0, 2**64) raise :class:`RankModelError`.
+    ``horizon / dt`` that rounds to no step or is too large for a float, a
+    seed outside [0, 2**64) and a run that overflows float64 raise
+    :class:`RankModelError`.
+
+    Each chunk of ``_ORACLE_CHUNK_STEPS`` steps draws its normals, then its
+    uniforms, from the (seed, chunk) Philox stream.  One worker thread draws
+    them block by block, in that order, into the chunk's buffers, while the
+    calling thread turns each block of normals into increments and the
+    path, then each block of uniforms into bridge minima and the reflected
+    value.  The running sum and minimum carry from block to block through
+    each block's first element, and the reflected values are summed once
+    per chunk, so the result is that of whole-chunk expressions bit for bit,
+    whatever ``_ORACLE_BLOCK`` is.  A chunk holds three chunk-long arrays;
+    the worker is joined before the call returns or raises.
     """
     for name, value in dict(kappa=kappa, sigma=sigma, dt=dt, horizon=horizon,
                             burn_in=burn_in).items():
@@ -192,27 +212,73 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     if sigma == 0.0:
         return 0.0
 
+    # incr: the normals, turned into increments in place.  low: the
+    # uniforms, turned into bridge minima and then their running minimum.
+    # y: the chunk's running sum of increments, then the path Y, then X.
+    size = min(steps, _ORACLE_CHUNK_STEPS)
+    incr, low, y = np.empty(size), np.empty(size), np.empty(size)
+    scratch = np.empty(min(size, _ORACLE_BLOCK))
     total = 0.0
     y_last = 0.0
     run_min = 0.0
-    for chunk, start in enumerate(range(0, steps, _ORACLE_CHUNK_STEPS)):
-        m = min(_ORACLE_CHUNK_STEPS, steps - start)
-        rng = _philox(seed, chunk)
-        z = rng.standard_normal(m)
-        u = rng.random(m)
-        incr = -kappa * dt + sigma * np.sqrt(dt) * z
-        y = y_last + np.cumsum(incr)
-        # Exact within-step minimum of the Brownian bridge that ends at y
-        # after the increment incr; the running minimum carries over.
-        lows = y - 0.5 * (
-            incr + np.sqrt(incr * incr - 2.0 * sigma * sigma * dt * np.log(u)))
-        lows[0] = min(lows[0], run_min)
-        mins = np.minimum.accumulate(lows)
-        x = y - np.minimum(0.0, mins)
-        total += float(x[max(skip - start, 0):].sum())
-        y_last = float(y[-1])
-        run_min = float(mins[-1])
-    return total / (steps - skip)
+    # Overflow turns the path or its minimum into inf or NaN for good, so
+    # the warnings are silenced and the average is checked instead.
+    with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=1) as pool:
+        drift = -kappa * dt
+        scale = sigma * np.sqrt(dt)
+        spread = 2.0 * sigma * sigma * dt
+        for chunk, start in enumerate(range(0, steps, _ORACLE_CHUNK_STEPS)):
+            m = min(_ORACLE_CHUNK_STEPS, steps - start)
+            blocks = [(a, min(a + _ORACLE_BLOCK, m))
+                      for a in range(0, m, _ORACLE_BLOCK)]
+            rng = _philox(seed, chunk)
+            normals = [pool.submit(rng.standard_normal, out=incr[a:b])
+                       for a, b in blocks]
+            uniforms = [pool.submit(rng.random, out=low[a:b])
+                        for a, b in blocks]
+            for (a, b), drawn in zip(blocks, normals):
+                drawn.result()
+                dy = incr[a:b]
+                np.multiply(dy, scale, out=dy)
+                np.add(dy, drift, out=dy)
+                first = dy[0]
+                if a:  # the chunk's running sum so far
+                    dy[0] = y[a - 1] + first
+                np.cumsum(dy, out=y[a:b])
+                dy[0] = first
+            y_end = y_last + float(y[m - 1])
+            for (a, b), drawn in zip(blocks, uniforms):
+                drawn.result()
+                dy, lows, path = incr[a:b], low[a:b], y[a:b]
+                tmp = scratch[:b - a]
+                np.add(path, y_last, out=path)
+                # Exact within-step minimum of the Brownian bridge that ends
+                # at y after the increment dy, from the uniform u:
+                # y - 0.5 * (dy + sqrt(dy * dy - spread * log(u))).
+                np.log(lows, out=lows)
+                np.multiply(lows, spread, out=lows)
+                np.multiply(dy, dy, out=tmp)
+                np.subtract(tmp, lows, out=lows)
+                np.sqrt(lows, out=lows)
+                np.add(dy, lows, out=lows)
+                np.multiply(lows, 0.5, out=lows)
+                np.subtract(path, lows, out=lows)
+                if a:  # start from the minimum of the blocks before
+                    lows = low[a - 1:b]
+                else:  # the running minimum carries over between chunks
+                    lows[0] = min(lows[0], run_min)
+                np.minimum.accumulate(lows, out=lows)
+                np.minimum(0.0, low[a:b], out=tmp)
+                np.subtract(path, tmp, out=path)
+            total += float(y[max(skip - start, 0):m].sum())
+            y_last = y_end
+            run_min = float(low[m - 1])
+    average = total / (steps - skip)
+    if not np.isfinite(average):
+        raise RankModelError(
+            f"the gap oracle overflows float64 at kappa={kappa!r}, "
+            f"sigma={sigma!r}, dt={dt!r}")
+    return average
 
 
 #: The smallest n whose shocks are drawn one step ahead on a worker thread.

@@ -396,13 +396,18 @@ class TestCommands:
         (["report", "--bogus"], "unrecognized arguments: --bogus"),
         (["report", "--sigma", "mid"], "invalid choice: 'mid'"),
         (["simulate", "--seed", "x"], "invalid int value: 'x'"),
+        (["simulate", "--seed", "1_0"], "invalid int value: '1_0'"),
+        (["simulate", "--seed", "\u0663"], "invalid int value: '\u0663'"),
+        (["simulate", "--seed", " 3 "], "invalid int value: ' 3 '"),
+        (["simulate", "--seed", "3.0"], "invalid int value: '3.0'"),
         ([], "required: command"),
         (["calibrate", "--scenario", "2"],
          "unrecognized arguments: --scenario 2"),
         (["report", "--scenario", "3"],
          "unrecognized arguments: --scenario 3"),
-    ], ids=["unknown_flag", "bad_sigma", "bad_seed", "no_command",
-            "calibrate_scenario", "report_scenario"])
+    ], ids=["unknown_flag", "bad_sigma", "bad_seed", "seed_digit_separator",
+            "seed_arabic_indic_digit", "seed_spaces", "seed_float",
+            "no_command", "calibrate_scenario", "report_scenario"])
     def test_usage_error_exits_1(self, capsys, argv, message):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The projection and inversion path writes each n-long intermediate into an
 array it owns, and gives the same bits and the same rejections as the
-expressions it replaced.
+expressions it replaced; the gap oracle works through each chunk in blocks
+and gives the same bits as its whole-chunk expressions.
 
 The ``reference_*`` functions are frozen copies of those expressions, each
 allocating its temporaries afresh.  They are the test references: every
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import rankdist as rd
-from rankdist import core, fileio
+from rankdist import core, fileio, simulate
 from rankdist.core import (NonPositiveSigmaError, RankModelError,
                            StabilityReport, TaxSchedule, TiedSharesError,
                            TrendSpec, UnstableError, prefix_sum)
@@ -135,6 +136,35 @@ def reference_project(alpha, sigma):
         shares = np.zeros(alpha.size)
         shares[:report.m] = reference_top_group(alpha, sigma, report.m)
     return shares, report
+
+
+def reference_gap_oracle(kappa, sigma, dt, horizon, burn_in, seed):
+    """``simulate_gap_oracle``'s whole-chunk loop, arguments taken as valid;
+    it reads ``_ORACLE_CHUNK_STEPS`` and ``_philox`` from the module."""
+    steps = int(round(horizon / dt))
+    skip = int(round(burn_in / dt))
+    if sigma == 0.0:
+        return 0.0
+    total = 0.0
+    y_last = 0.0
+    run_min = 0.0
+    chunk_steps = simulate._ORACLE_CHUNK_STEPS
+    for chunk, start in enumerate(range(0, steps, chunk_steps)):
+        m = min(chunk_steps, steps - start)
+        rng = simulate._philox(seed, chunk)
+        z = rng.standard_normal(m)
+        u = rng.random(m)
+        incr = -kappa * dt + sigma * np.sqrt(dt) * z
+        y = y_last + np.cumsum(incr)
+        lows = y - 0.5 * (
+            incr + np.sqrt(incr * incr - 2.0 * sigma * sigma * dt * np.log(u)))
+        lows[0] = min(lows[0], run_min)
+        mins = np.minimum.accumulate(lows)
+        x = y - np.minimum(0.0, mins)
+        total += float(x[max(skip - start, 0):].sum())
+        y_last = float(y[-1])
+        run_min = float(mins[-1])
+    return total / (steps - skip)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +313,45 @@ class TestForwardAndInverseBits:
         assert kinds == {"stable", "divergent"}
         assert np.array_equal(params.alpha, alpha)
         assert np.array_equal(params.sigma, sigma)
+
+
+class TestGapOracleBits:
+    """Blocks and chunks, with the burn-in ending anywhere, against the
+    whole-chunk loop; ``_ORACLE_BLOCK`` must not select bits."""
+
+    BLOCK = simulate._ORACLE_BLOCK
+
+    @pytest.mark.parametrize("chunk, block, steps, skip, sigma", [
+        # Three chunks of 10^6 and a partial fourth; the burn-in ends
+        # inside the second chunk, inside a block.
+        (None, None, 3_500_000, 1_234_567, 0.3),
+        # Chunks of 1,000 steps, each one block or blocks of 64 or 7 steps;
+        # the burn-in ends inside the third chunk and inside a block.
+        (1000, None, 5500, 2345, 0.3),
+        (1000, 64, 5500, 2345, 0.3),
+        (1000, 7, 5500, 2345, 0.3),
+        (None, 1000, 123_457, 45_678, 0.3),
+        (None, None, 1, 0, 0.3),
+        (None, None, BLOCK, 0, 0.3),
+        (None, None, BLOCK + 1, 1, 0.3),
+        (None, None, 5000, 100, 0.0),
+    ], ids=["three_chunks_and_part", "chunk_1000", "chunk_1000_block_64",
+            "chunk_1000_block_7", "block_1000", "one_step", "one_block",
+            "one_block_and_one_step", "sigma_zero"])
+    def test_same_bits_as_whole_chunks(self, monkeypatch, chunk, block,
+                                       steps, skip, sigma):
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_ORACLE_CHUNK_STEPS", chunk)
+        if block is not None:
+            monkeypatch.setattr(simulate, "_ORACLE_BLOCK", block)
+        dt = 1e-3
+        args = dict(kappa=0.2, sigma=sigma, dt=dt, horizon=steps * dt,
+                    burn_in=skip * dt, seed=42)
+        assert int(round(args["horizon"] / dt)) == steps
+        assert int(round(args["burn_in"] / dt)) == skip
+        got = rd.simulate_gap_oracle(**args)
+        assert got == reference_gap_oracle(**args)
+        assert (got == 0.0) == (sigma == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +549,29 @@ class TestWorkingSet:
         sigma = params.sigma
         peak = peak_above_inputs(lambda: rd.alpha_from_shares(shares, sigma))
         assert peak <= 2 * self.F + self.SLACK
+
+
+class TestGapOracleWorkingSet:
+    """Peak memory of one 10^6-step chunk of the gap oracle, in units of one
+    chunk-long float64 array (F = 8 MB) and of one block (B = 256 KiB).
+
+    Budget, from the arrays the design keeps live: the normals turned into
+    increments, the uniforms turned into the running minimum, and the path
+    turned into the reflected value are chunk-long (3F); the scratch block
+    is B.  Up to 3B more covers block-sized temporaries, the executor and
+    its futures (a second call measured 0.39 MB above 3F).  The whole-chunk
+    expressions this replaced held eight chunk-long arrays (8.1F).
+    """
+
+    F = 8 * simulate._ORACLE_CHUNK_STEPS
+    B = 8 * simulate._ORACLE_BLOCK
+
+    def test_one_chunk(self):
+        args = dict(kappa=0.5, sigma=0.3, dt=1e-3, burn_in=0.0, seed=1)
+        # A first call imports modules (about 0.7 MiB), which a short run
+        # keeps out of the measurement.
+        rd.simulate_gap_oracle(horizon=1.0, **args)
+        horizon = simulate._ORACLE_CHUNK_STEPS * args["dt"]
+        peak = peak_above_inputs(
+            lambda: rd.simulate_gap_oracle(horizon=horizon, **args))
+        assert peak <= 3 * self.F + 4 * self.B

@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo simulators."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,52 @@ class TestGapOracle:
         x = y - np.minimum(0.0, np.minimum.accumulate(
             np.minimum(bridge_min, 0.0)))
         assert got == pytest.approx(x[2345:].mean(), rel=1e-12)
+
+
+class TestGapOracleWorker:
+    """One worker thread draws each chunk's blocks; its errors reach the
+    caller, it is joined on return or error, and overflow is an error."""
+
+    def test_uniform_draw_error_reaches_caller(self, monkeypatch):
+        # Chunk 1's uniform draw fails on the worker after chunk 0 is done
+        # and chunk 1's normals are drawn.
+        monkeypatch.setattr(simulate, "_ORACLE_CHUNK_STEPS", 1000)
+        philox = simulate._philox
+        error = RuntimeError("uniform draw failed")
+        failed = []
+
+        class FailingUniforms:
+            def __init__(self, rng, fail):
+                self.rng, self.fail = rng, fail
+
+            def standard_normal(self, **kwargs):
+                return self.rng.standard_normal(**kwargs)
+
+            def random(self, **kwargs):
+                if self.fail:
+                    failed.append(threading.get_ident())
+                    raise error
+                return self.rng.random(**kwargs)
+
+        monkeypatch.setattr(simulate, "_philox", lambda seed, chunk:
+                            FailingUniforms(philox(seed, chunk), chunk == 1))
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError) as raised:
+            rd.simulate_gap_oracle(kappa=0.5, sigma=0.2, dt=1e-3,
+                                   horizon=3.0, burn_in=0.0, seed=1)
+        assert raised.value is error
+        assert failed and threading.get_ident() not in failed
+        assert len(threading.enumerate()) == len(before)
+
+    @pytest.mark.parametrize("kappa, sigma", [(1e300, 0.2), (0.5, 1e200)],
+                             ids=["kappa", "sigma"])
+    def test_overflow_raises(self, kappa, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rd.RankModelError,
+                               match="overflows float64"):
+                rd.simulate_gap_oracle(kappa=kappa, sigma=sigma, dt=1e-3,
+                                       horizon=1.0, burn_in=0.0, seed=1)
 
 
 def tiny_system(n=50, seed=5):
