@@ -124,8 +124,8 @@ def _load_config(args) -> RunConfig:
         scenario, base = raw.get("scenario", 1), config_dir
     if not isinstance(scenario, str):
         trend = preset_scenario(scenario)
-    elif scenario.isdecimal():
-        trend = preset_scenario(int(scenario))
+    elif (preset := fileio._integer(scenario)) is not None:
+        trend = preset_scenario(preset)
     else:
         trend = fileio.read_trend(base / scenario)
     tax_path = raw.get("tax")
@@ -159,9 +159,10 @@ def _calibrated(cfg: RunConfig):
 def cmd_calibrate(cfg: RunConfig) -> int:
     shares, fit, params = _calibrated(cfg)
     out = cfg.out_dir
-    fileio.write_alpha_csv(out / "alpha.csv", params.alpha)
-    fileio.write_fit_csv(out / "fit.csv", shares.shares)
-    fileio.write_fit_report(out / "fit_report.json", fit)
+    with fileio.group():
+        fileio.write_alpha_csv(out / "alpha.csv", params.alpha)
+        fileio.write_fit_csv(out / "fit.csv", shares.shares)
+        fileio.write_fit_report(out / "fit_report.json", fit)
     print(f"calibrated n={cfg.n} sigma={cfg.sigma_variant} "
           f"fit_error={fit.fit_error:.6f}")
     return 0
@@ -182,9 +183,10 @@ def _cmd_projection(cfg: RunConfig, tax: Optional[TaxSchedule]) -> int:
     params = _calibrated(cfg)[2]
     outcome = project(_adjusted(params, cfg.trend, tax), cfg.report_brackets)
     out = cfg.out_dir
-    fileio.write_grouped_csv(out / "projection.csv", outcome.grouped)
-    fileio.write_loglog_csv(out / "loglog.csv", outcome.shares)
-    fileio.write_divergence_json(out / "divergence.json", outcome.report)
+    with fileio.group():
+        fileio.write_grouped_csv(out / "projection.csv", outcome.grouped)
+        fileio.write_loglog_csv(out / "loglog.csv", outcome.shares)
+        fileio.write_divergence_json(out / "divergence.json", outcome.report)
     for bracket, share in zip(outcome.grouped.brackets,
                               outcome.grouped.shares):
         print(f"  {_label(*bracket)}: {100 * share:.1f}%")
@@ -251,12 +253,11 @@ _COMMANDS = {
 
 
 def _seed(text: str) -> int:
-    """The ``--seed`` value: an optional '-' and ASCII digits.  ``int``
-    alone would also read '1_0' as 10 and ' \u0663 ' as 3."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    """The ``--seed`` value, by ``fileio``'s integer rule."""
+    seed = fileio._integer(text)
+    if seed is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    return seed
 
 
 class _Parser(argparse.ArgumentParser):

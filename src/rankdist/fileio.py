@@ -1,6 +1,7 @@
 """CSV/JSON readers and writers for data files and result emission.
 
-Every file the package reads or writes goes through this module.
+Every file the package reads or writes, and every number it reads from
+text (table cells, ``--seed``, ``--scenario``), goes through this module.
 
 All files are UTF-8 with LF line endings and '.' decimal separator.
 Machine-readable numbers are written with 17 significant digits so every
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import contextvars
 import csv
 import dataclasses
 import json
@@ -46,6 +48,7 @@ __all__ = [
     "write_divergence_json",
     "write_path_csv",
     "write_lines",
+    "group",
     "DATA_DIR",
 ]
 
@@ -79,10 +82,17 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
+def _integer(text: str):
+    """The int that ``text`` spells as an optional '-' and ASCII digits,
+    else ``None``; ``int`` alone would also read '1_0', ' 3 ' and '\u0663'."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _number(cell: str) -> float:
-    """``float(cell)`` without the ``_`` digit separator it accepts, so
-    ``0_02`` is a bad number rather than 2."""
-    if "_" in cell:
+    """``float(cell)`` for an ASCII cell without ``float``'s ``_`` digit
+    separator, so ``0_02`` and a fullwidth ``\uff11`` are bad numbers."""
+    if "_" in cell or not cell.isascii():
         raise ValueError(f"could not convert string to float: {cell!r}")
     return float(cell)
 
@@ -149,26 +159,78 @@ def read_tax(path) -> TaxSchedule:
     return _read_table(path, TaxSchedule, "tax_rate_per_year")
 
 
+#: The pending outputs of the open :func:`group` in this thread (or task):
+#: destination path -> its finished ``.part`` file, or ``None`` for a removal.
+_PENDING = contextvars.ContextVar("_PENDING", default=None)
+
+
+def _failure(path, part, exc) -> RankModelError:
+    verb = "remove" if part is None else "write"
+    return RankModelError(f"cannot {verb} {path}: {exc}")
+
+
+@contextlib.contextmanager
+def group():
+    """A block whose outputs change together or not at all.
+
+    Inside it, each writer leaves its finished ``.part`` file pending, and a
+    stale-file removal waits too.  When the block ends cleanly, every
+    destination is checked first (none may be a directory); then each
+    ``.part`` file is renamed into place and each removal made.  When the
+    block raises or a check fails, the ``.part`` files go, nothing else
+    changes, and the :class:`RankModelError` names the path.  A group
+    opened inside another joins it; a write outside any group is a group
+    of one.  A rename that fails after the checks (another process racing
+    for the directory, say) can still leave the group half done."""
+    pending = _PENDING.get()
+    if pending is not None:
+        yield pending
+        return
+    pending = {}
+    token = _PENDING.set(pending)
+    try:
+        yield pending
+        for path, part in pending.items():
+            if path.is_dir():
+                raise _failure(path, part, "is a directory")
+        for path, part in pending.items():
+            try:
+                if part is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    os.replace(part, path)
+            except OSError as exc:
+                raise _failure(path, part, exc) from exc
+    finally:
+        _PENDING.reset(token)
+        for part in pending.values():
+            if part is not None:
+                part.unlink(missing_ok=True)
+
+
 @contextlib.contextmanager
 def _replacing(path):
     """An open sibling ``.<name>.part`` of ``path``, created with the parent
     directory; every file the package writes goes through here.
 
-    The part file replaces ``path`` only when the block ends cleanly: a
-    failed write leaves no file, and an older one as it was.  An
-    :class:`OSError` raises :class:`RankModelError` naming the path."""
+    The part file replaces ``path`` only when the block and the enclosing
+    :func:`group` end cleanly: a failed write leaves no file, and an older
+    one as it was.  An :class:`OSError` raises :class:`RankModelError`
+    naming the path."""
     path = Path(path)
     part = path.with_name(f".{path.name}.part")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    with group() as pending:
         try:
-            with open(part, "wb") as out:
-                yield out
-            os.replace(part, path)
-        finally:
-            part.unlink(missing_ok=True)
-    except OSError as exc:
-        raise RankModelError(f"cannot write {path}: {exc}") from exc
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                with open(part, "wb") as out:
+                    yield out
+            except BaseException:
+                part.unlink(missing_ok=True)
+                raise
+        except OSError as exc:
+            raise _failure(path, part, exc) from exc
+        pending[path] = part
 
 
 def write_lines(path, lines: Sequence[str]) -> None:
@@ -411,13 +473,12 @@ def write_loglog_csv(path, shares) -> None:
 
 def write_divergence_json(path, report) -> None:
     """``report`` as indented JSON when it is divergent; a stable report
-    leaves no file, so an earlier run's, which would contradict it, goes.
-    An :class:`OSError` raises :class:`RankModelError` naming the path."""
+    leaves no file, so an earlier run's, which would contradict it, goes
+    when the :func:`group` ends.  An :class:`OSError` raises
+    :class:`RankModelError` naming the path."""
     if report.stable:
-        try:
-            Path(path).unlink(missing_ok=True)
-        except OSError as exc:
-            raise RankModelError(f"cannot remove {path}: {exc}") from exc
+        with group() as pending:
+            pending[Path(path)] = None
     else:
         write_lines(path, [json.dumps(dataclasses.asdict(report), indent=2)])
 

@@ -83,13 +83,15 @@ class TestReaders:
         ("", 1, "empty file"),
         ("lo_pct,hi_pct,share\n0,100\n", 2, "expected 3 fields, got 2"),
         ("lo_pct,hi_pct,share\n\n", 2, "no data rows"),
-        # float() reads "1_0" as 10.
+        # float() reads "1_0" as 10, and a fullwidth "\uff11" as 1.
         ("lo_pct,hi_pct,share\n0,100,1_0\n", 2, "bad number"),
-    ], ids=["empty", "short_row", "no_rows", "digit_separator"])
+        ("lo_pct,hi_pct,share\n0,100,\uff11\n", 2, "bad number"),
+    ], ids=["empty", "short_row", "no_rows", "digit_separator",
+            "fullwidth_digit"])
     def test_malformed_table_reports_line(self, tmp_path, text, line,
                                           message):
         path = tmp_path / "g.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(rd.ParseError, match=message) as info:
             fileio.read_grouped_shares(path)
         assert info.value.line == line
@@ -315,6 +317,11 @@ class TestCommands:
          "reporting_brackets[0][1] must be a finite number"),
         ({"scenario": 2.5}, ["project"], "scenario must be an integer"),
         ({"scenario": "\u00b2"}, ["project"], "cannot read file"),
+        # Only an optional '-' and ASCII digits name a preset.
+        ({"scenario": "\u0663"}, ["project"], "cannot read file"),
+        ({}, ["project", "--scenario", "\u0663"], "cannot read file"),
+        ({}, ["project", "--scenario", "-1"],
+         "scenario must be an integer in 1..4"),
         ({"sigma_variant": "mid"}, ["calibrate"],
          "unknown sigma variant 'mid'"),
         ({"reporting_brackets": [[0, 1], [1, 50]]},
@@ -351,6 +358,8 @@ class TestCommands:
             "breakpoints_not_numbers", "breakpoints_fit_fails",
             "reporting_bracket_not_a_number",
             "scenario_not_integral", "scenario_unicode_digit",
+            "scenario_arabic_indic_digit", "scenario_flag_arabic_indic_digit",
+            "scenario_flag_negative",
             "sigma_variant_unknown", "reporting_brackets_not_a_partition",
             "reporting_brackets_empty", "tax_not_a_path",
             "volatility_not_a_path", "grouped_shares_not_a_path",
@@ -517,6 +526,51 @@ class TestFileErrors:
         out = tmp_path / "taken" / "out"
         self.fails(["report", "--config", str(config), "--out", str(out)],
                    capsys, f"cannot write {out / 'summary.txt'}")
+
+    @staticmethod
+    def listing(out):
+        """Each entry of ``out`` by name: its bytes, or None for a
+        directory."""
+        return {path.name: None if path.is_dir() else path.read_bytes()
+                for path in out.iterdir()}
+
+    # A command's outputs change together or not at all: a rename or a
+    # removal that would fail is found before any output is replaced.
+    def test_failed_rename_keeps_the_earlier_run(self, tmp_path, config,
+                                                 capsys):
+        out = tmp_path / "out"
+        assert main(["project", "--config", str(config),
+                     "--scenario", "4"]) == 0
+        assert sorted(self.listing(out)) == [
+            "divergence.json", "loglog.csv", "projection.csv"]
+        (out / "loglog.csv").unlink()
+        (out / "loglog.csv").mkdir()
+        before = self.listing(out)
+        self.fails(["project", "--config", str(config), "--scenario", "1"],
+                   capsys, f"cannot write {out / 'loglog.csv'}")
+        assert self.listing(out) == before  # and no .part file
+
+    def test_failed_removal_keeps_the_earlier_run(self, tmp_path, config,
+                                                  capsys):
+        out = tmp_path / "out"
+        assert main(["project", "--config", str(config),
+                     "--scenario", "1"]) == 0
+        (out / "divergence.json").mkdir()
+        before = self.listing(out)
+        self.fails(["tax", "--config", str(config), "--scenario", "4"],
+                   capsys, f"cannot remove {out / 'divergence.json'}")
+        assert self.listing(out) == before
+
+    def test_failed_calibrate_keeps_the_earlier_run(self, tmp_path, config,
+                                                    capsys):
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(config)]) == 0
+        (out / "fit.csv").unlink()
+        (out / "fit.csv").mkdir()
+        before = self.listing(out)
+        self.fails(["calibrate", "--config", str(config), "--sigma", "high"],
+                   capsys, f"cannot write {out / 'fit.csv'}")
+        assert self.listing(out) == before
 
 
 class TestPathRule:

@@ -285,6 +285,58 @@ class TestWriteTablePool:
         assert target.read_bytes() == b"kept\n"
 
 
+class TestGroup:
+    """Inside ``fileio.group()`` every output waits, finished, in its
+    ``.part`` file, and a stale-file removal waits too, until the block
+    ends cleanly; a failure changes nothing."""
+
+    def test_outputs_wait_for_the_block(self, tmp_path):
+        stale = tmp_path / "d.json"
+        stale.write_bytes(b"old\n")
+        path = tmp_path / "a.txt"
+        with fileio.group():
+            with fileio.group():  # a group inside another joins it
+                fileio.write_lines(path, ["new"])
+            fileio.write_divergence_json(stale, StabilityReport())
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                ".a.txt.part", "d.json"]
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"new\n"
+
+    def test_an_error_in_the_block_changes_nothing(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(ValueError, match="late"):
+            with fileio.group():
+                fileio.write_lines(path, ["new"])
+                fileio.write_lines(tmp_path / "b.txt", ["new"])
+                raise ValueError("late")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old\n"
+
+    def test_a_failed_write_is_not_committed(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old\n")
+        with fileio.group():
+            with pytest.raises(TypeError):
+                fileio.write_lines(path, [1])  # fails inside the .part
+            fileio.write_lines(tmp_path / "b.txt", ["new"])
+        assert sorted(tmp_path.iterdir()) == [path, tmp_path / "b.txt"]
+        assert path.read_bytes() == b"old\n"
+
+    def test_a_directory_in_the_way_is_found_first(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old\n")
+        (tmp_path / "b.txt").mkdir()
+        with pytest.raises(RankModelError, match=re.escape(
+                f"cannot write {tmp_path / 'b.txt'}: is a directory")):
+            with fileio.group():
+                fileio.write_lines(path, ["new"])
+                fileio.write_lines(tmp_path / "b.txt", ["new"])
+        assert sorted(tmp_path.iterdir()) == [path, tmp_path / "b.txt"]
+        assert path.read_bytes() == b"old\n"
+
+
 def traced_peak(run) -> int:
     """Bytes traced at the peak of ``run()`` above what was live before."""
     tracemalloc.start()

@@ -10,8 +10,11 @@ The package's modules import each other only along one declared graph
 its threads are joined before the block that made it is left.  Only
 ``fileio`` reads, writes, replaces or removes a file, so the rules for
 inputs and outputs (a BOM allowed, a scoped ``.part`` file, an ``OSError``
-reported as a ``RankModelError`` naming the path) have one home.  And the package runs on numpy alone:
-importing it loads no scipy.
+reported as a ``RankModelError`` naming the path) have one home.  Only
+``fileio`` tests text for digits, so what outside text is a number (an
+integer for ``--seed`` and ``--scenario``, a float for a table cell) has
+one home too.  And the package runs on numpy alone: importing it loads no
+scipy.
 """
 
 import ast
@@ -107,9 +110,13 @@ FILE_WRITES = {"open", "write_text", "write_bytes", "unlink", "mkdir",
 FILE_READS = {"open", "read_text", "read_bytes"}
 
 
+#: String methods that test text for digits.
+NUMBER_TESTS = {"isdecimal", "isdigit", "isnumeric", "isascii"}
+
+
 def file_calls(source: str, calls):
-    """Lines of calls to a function in ``calls`` (``FILE_WRITES`` or
-    ``FILE_READS``)."""
+    """Lines of calls to a function in ``calls`` (``FILE_WRITES``,
+    ``FILE_READS`` or ``NUMBER_TESTS``)."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -134,6 +141,14 @@ def test_finds_a_file_read():
         "raw = json.loads(path.read_text(encoding='utf-8'))\n"
         "data = Path(p).read_bytes()\nwith open(p) as f:\n    f.read()\n"
         "text = ''.join(lines)\n", FILE_READS) == [1, 2, 3]
+
+
+def test_finds_a_number_test():
+    assert file_calls(
+        "ok = text[1:].isascii() and text[1:].isdigit()\n"
+        "n = int(text) if text.isdecimal() else None\n"
+        "m = str.isnumeric(text)\nx = float(text)\n",
+        NUMBER_TESTS) == [1, 1, 2, 3]
 
 
 #: The sibling modules each package module may import; ``cli`` may import
@@ -196,6 +211,11 @@ def test_only_fileio_writes_files(path):
 @pytest.mark.parametrize("path", OUTSIDE_FILEIO, ids=lambda path: path.stem)
 def test_only_fileio_reads_files(path):
     assert file_calls(path.read_text(encoding="utf-8"), FILE_READS) == []
+
+
+@pytest.mark.parametrize("path", OUTSIDE_FILEIO, ids=lambda path: path.stem)
+def test_only_fileio_reads_numbers(path):
+    assert file_calls(path.read_text(encoding="utf-8"), NUMBER_TESTS) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)
