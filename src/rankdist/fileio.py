@@ -191,7 +191,7 @@ def group():
     try:
         yield pending
         for path, part in pending.items():
-            if path.is_dir():
+            if path.is_dir() and not path.is_symlink():
                 raise _failure(path, part, "is a directory")
         for path, part in pending.items():
             try:

@@ -336,6 +336,18 @@ class TestGroup:
         assert sorted(tmp_path.iterdir()) == [path, tmp_path / "b.txt"]
         assert path.read_bytes() == b"old\n"
 
+    def test_a_link_to_a_directory_is_replaced(self, tmp_path):
+        # rename and unlink act on the link itself, so it is no obstacle.
+        (tmp_path / "dir").mkdir()
+        path, stale = tmp_path / "a.txt", tmp_path / "d.json"
+        path.symlink_to(tmp_path / "dir")
+        stale.symlink_to(tmp_path / "dir")
+        with fileio.group():
+            fileio.write_lines(path, ["new"])
+            fileio.write_divergence_json(stale, StabilityReport())
+        assert sorted(tmp_path.iterdir()) == [path, tmp_path / "dir"]
+        assert not path.is_symlink() and path.read_bytes() == b"new\n"
+
 
 def traced_peak(run) -> int:
     """Bytes traced at the peak of ``run()`` above what was live before."""
