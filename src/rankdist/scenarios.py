@@ -94,9 +94,7 @@ def apply_trend(params: RankParameters, trend: TrendSpec) -> RankParameters:
     disequilibrium, and the projection machinery handles the implied
     aggregate drift.
     """
-    adjustment = per_rank_values(trend.brackets, trend.growth, params.n)
-    alpha = np.add(params.alpha, adjustment, out=adjustment)
-    return RankParameters(alpha=alpha, sigma=params.sigma)
+    return _adjusted(params, trend.brackets, trend.growth, np.add)
 
 
 def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
@@ -105,8 +103,15 @@ def apply_tax(params: RankParameters, tax: TaxSchedule) -> RankParameters:
     A 1% tax reduces the taxed ranks' relative growth by 1%; revenue is
     discarded (no redistribution).  Volatilities are unchanged.
     """
-    adjustment = per_rank_values(tax.brackets, tax.rate, params.n)
-    alpha = np.subtract(params.alpha, adjustment, out=adjustment)
+    return _adjusted(params, tax.brackets, tax.rate, np.subtract)
+
+
+def _adjusted(params: RankParameters, brackets, values,
+              op: np.ufunc) -> RankParameters:
+    """``op(alpha, per-rank values)``, written into the per-rank vector
+    itself so that one n-long array is made; sigma is unchanged."""
+    adjustment = per_rank_values(brackets, values, params.n)
+    alpha = op(params.alpha, adjustment, out=adjustment)
     return RankParameters(alpha=alpha, sigma=params.sigma)
 
 

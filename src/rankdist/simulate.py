@@ -15,11 +15,9 @@ Two simulators:
 Randomness is counter-based: every step of the ranked simulator draws from
 a Philox generator keyed by (seed, step), and every chunk of the oracle from
 one keyed by (seed, chunk), so results are byte-identical regardless of how
-the work is scheduled across threads.  Both draw on one worker thread:
-:func:`simulate_ranked` draws step s + 1's shocks while step s re-ranks,
-records and updates (from ``_WORKER_DRAW_MIN_N`` up), and
-:func:`simulate_gap_oracle` draws a chunk block by block while the calling
-thread computes on the blocks already drawn.
+the work is scheduled across threads.  From ``_WORKER_DRAW_MIN_N`` up,
+:func:`simulate_ranked` draws step s + 1's shocks on one worker thread while
+step s re-ranks, records and updates.
 """
 
 from __future__ import annotations
@@ -65,7 +63,8 @@ class SimConfig:
     ``n=`` and reads ``config.n``, so it stays a field.
 
     ``seed`` keys the Philox streams, so it must fit an unsigned 64-bit word,
-    and ``report_brackets`` must partition [0, 100).  Construction converts
+    and ``report_brackets`` must partition [0, 100) with each boundary on a
+    whole rank at ``n`` (:attr:`rank_bounds`).  Construction converts
     each value and raises :class:`RankModelError` on a wrong type, a
     non-finite value or one out of range; only ``drift_clip`` may be None,
     and ``horizon / dt`` must round to at least one step (:attr:`steps`).
@@ -103,11 +102,17 @@ class SimConfig:
                 raise RankModelError("drift_clip must be positive")
         _freeze(self, report_brackets=as_brackets(
             self.report_brackets, "report_brackets", partition=True))
+        self.rank_bounds  # raises unless each bracket holds whole ranks
 
     @property
     def steps(self) -> int:
         """The number of Euler steps: horizon / dt, rounded."""
         return _step_count(self.horizon, self.dt, "horizon", least=1)
+
+    @property
+    def rank_bounds(self) -> Tuple[Tuple[int, int], ...]:
+        """Each report bracket's ranks, as :func:`bracket_to_ranks` maps it."""
+        return tuple(bracket_to_ranks(b, self.n) for b in self.report_brackets)
 
 
 def _step_count(span: float, dt: float, name: str, least: int = 0) -> int:
@@ -183,15 +188,13 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     :class:`RankModelError`.
 
     Each chunk of ``_ORACLE_CHUNK_STEPS`` steps draws its normals, then its
-    uniforms, from the (seed, chunk) Philox stream.  One worker thread draws
-    them block by block, in that order, into the chunk's buffers, while the
-    calling thread turns each block of normals into increments and the
-    path, then each block of uniforms into bridge minima and the reflected
-    value.  The running sum and minimum carry from block to block through
-    each block's first element, and the reflected values are summed once
-    per chunk, so the result is that of whole-chunk expressions bit for bit,
-    whatever ``_ORACLE_BLOCK`` is.  A chunk holds three chunk-long arrays;
-    the worker is joined before the call returns or raises.
+    uniforms, from the (seed, chunk) Philox stream, one block at a time on
+    the calling thread, and turns each block of normals into increments and
+    the path, then each block of uniforms into bridge minima and the
+    reflected value.  The running sum and minimum carry between blocks as
+    scalars and the reflected values are summed once per chunk, so the bits
+    are those of whole-chunk expressions, whatever ``_ORACLE_BLOCK`` is.  A
+    chunk holds two chunk-long arrays.
     """
     for name, value in dict(kappa=kappa, sigma=sigma, dt=dt, horizon=horizon,
                             burn_in=burn_in).items():
@@ -212,18 +215,19 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
     if sigma == 0.0:
         return 0.0
 
-    # incr: the normals, turned into increments in place.  low: the
+    # incr: the normals, turned into increments in place.  y: the chunk's
+    # running sum of increments, then the path Y, then X.  low: a block of
     # uniforms, turned into bridge minima and then their running minimum.
-    # y: the chunk's running sum of increments, then the path Y, then X.
     size = min(steps, _ORACLE_CHUNK_STEPS)
-    incr, low, y = np.empty(size), np.empty(size), np.empty(size)
-    scratch = np.empty(min(size, _ORACLE_BLOCK))
+    block = min(size, _ORACLE_BLOCK)
+    incr, y = np.empty(size), np.empty(size)
+    low, scratch = np.empty(block), np.empty(block)
     total = 0.0
     y_last = 0.0
     run_min = 0.0
     # Overflow turns the path or its minimum into inf or NaN for good, so
     # the warnings are silenced and the average is checked instead.
-    with np.errstate(all="ignore"), ThreadPoolExecutor(max_workers=1) as pool:
+    with np.errstate(all="ignore"):
         drift = -kappa * dt
         scale = sigma * np.sqrt(dt)
         spread = 2.0 * sigma * sigma * dt
@@ -232,25 +236,22 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
             blocks = [(a, min(a + _ORACLE_BLOCK, m))
                       for a in range(0, m, _ORACLE_BLOCK)]
             rng = _philox(seed, chunk)
-            normals = [pool.submit(rng.standard_normal, out=incr[a:b])
-                       for a, b in blocks]
-            uniforms = [pool.submit(rng.random, out=low[a:b])
-                        for a, b in blocks]
-            for (a, b), drawn in zip(blocks, normals):
-                drawn.result()
+            run_sum = -0.0  # the chunk's sum so far; -0.0 + v is v exactly
+            for a, b in blocks:
                 dy = incr[a:b]
+                rng.standard_normal(out=dy)
                 np.multiply(dy, scale, out=dy)
                 np.add(dy, drift, out=dy)
                 first = dy[0]
-                if a:  # the chunk's running sum so far
-                    dy[0] = y[a - 1] + first
+                dy[0] = run_sum + first
                 np.cumsum(dy, out=y[a:b])
                 dy[0] = first
-            y_end = y_last + float(y[m - 1])
-            for (a, b), drawn in zip(blocks, uniforms):
-                drawn.result()
-                dy, lows, path = incr[a:b], low[a:b], y[a:b]
-                tmp = scratch[:b - a]
+                run_sum = y[b - 1]
+            y_end = y_last + float(run_sum)
+            for a, b in blocks:
+                dy, path = incr[a:b], y[a:b]
+                lows, tmp = low[:b - a], scratch[:b - a]
+                rng.random(out=lows)
                 np.add(path, y_last, out=path)
                 # Exact within-step minimum of the Brownian bridge that ends
                 # at y after the increment dy, from the uniform u:
@@ -263,16 +264,13 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
                 np.add(dy, lows, out=lows)
                 np.multiply(lows, 0.5, out=lows)
                 np.subtract(path, lows, out=lows)
-                if a:  # start from the minimum of the blocks before
-                    lows = low[a - 1:b]
-                else:  # the running minimum carries over between chunks
-                    lows[0] = min(lows[0], run_min)
+                lows[0] = min(lows[0], run_min)
                 np.minimum.accumulate(lows, out=lows)
-                np.minimum(0.0, low[a:b], out=tmp)
+                run_min = float(lows[-1])
+                np.minimum(0.0, lows, out=tmp)
                 np.subtract(path, tmp, out=path)
             total += float(y[max(skip - start, 0):m].sum())
             y_last = y_end
-            run_min = float(low[m - 1])
     average = total / (steps - skip)
     if not np.isfinite(average):
         raise RankModelError(
@@ -344,7 +342,7 @@ def simulate_ranked(params: RankParameters, config: SimConfig,
                                     "record_every"), 1)
     drift_step = alpha * config.dt
     shock_step = delta * np.sqrt(config.dt)
-    rank_bounds = [bracket_to_ranks(b, n) for b in config.report_brackets]
+    rank_bounds = config.rank_bounds
 
     sorted_lw = np.log(initial.shares)
     ids = np.arange(n)

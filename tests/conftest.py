@@ -11,9 +11,9 @@ import rankdist
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fail a test that leaves a thread alive that it started: the
-    simulator's and the oracle's draw workers, the report grid's pool and
-    the CSV writers' pool all join their threads before they return, on
-    success or error."""
+    simulator's draw worker, the report grid's pool and the CSV writers'
+    pool all join their threads before they return, on success or
+    error."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

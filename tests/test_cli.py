@@ -444,6 +444,24 @@ class TestCommands:
                      "--out", str(tmp_path / "out")]) == 1
         assert "unknown sigma variant 'mid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate"], ["project"], ["tax", "--scenario", "1"], ["report"],
+        ["simulate", "--seed", "1"]], ids=lambda argv: argv[0])
+    def test_off_rank_bracket_rejected_before_the_fit(self, tmp_path, capsys,
+                                                      monkeypatch, argv):
+        def fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr("rankdist.cli.fit_piecewise_pareto", fit)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": 10000, "reporting_brackets": [[0, 0.005], [0.005, 100]]}))
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "out")]) == 1
+        assert ("bracket boundary 0.005% maps to non-integer rank 0.5"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, detail", [
         ("{\"n\": 10000,", ""),
         # Past Python's limit on integer strings json.loads raises a plain

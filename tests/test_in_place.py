@@ -556,11 +556,11 @@ class TestGapOracleWorkingSet:
     chunk-long float64 array (F = 8 MB) and of one block (B = 256 KiB).
 
     Budget, from the arrays the design keeps live: the normals turned into
-    increments, the uniforms turned into the running minimum, and the path
-    turned into the reflected value are chunk-long (3F); the scratch block
-    is B.  Up to 3B more covers block-sized temporaries, the executor and
-    its futures (a second call measured 0.39 MB above 3F).  The whole-chunk
-    expressions this replaced held eight chunk-long arrays (8.1F).
+    increments and the path turned into the reflected value are chunk-long
+    (2F); the block of uniforms turned into the running minimum and the
+    scratch block are 2B.  Up to 2B more covers block-sized temporaries.
+    The whole-chunk expressions this replaced held eight chunk-long arrays
+    (8.1F).
     """
 
     F = 8 * simulate._ORACLE_CHUNK_STEPS
@@ -574,4 +574,4 @@ class TestGapOracleWorkingSet:
         horizon = simulate._ORACLE_CHUNK_STEPS * args["dt"]
         peak = peak_above_inputs(
             lambda: rd.simulate_gap_oracle(horizon=horizon, **args))
-        assert peak <= 3 * self.F + 4 * self.B
+        assert peak <= 2 * self.F + 4 * self.B

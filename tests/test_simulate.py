@@ -95,13 +95,13 @@ class TestGapOracle:
         assert got == pytest.approx(x[2345:].mean(), rel=1e-12)
 
 
-class TestGapOracleWorker:
-    """One worker thread draws each chunk's blocks; its errors reach the
-    caller, it is joined on return or error, and overflow is an error."""
+class TestGapOracleErrors:
+    """The oracle draws on the calling thread and starts no thread; a
+    draw's error reaches the caller, and overflow is an error."""
 
     def test_uniform_draw_error_reaches_caller(self, monkeypatch):
-        # Chunk 1's uniform draw fails on the worker after chunk 0 is done
-        # and chunk 1's normals are drawn.
+        # Chunk 1's uniform draw fails after chunk 0 is done and chunk 1's
+        # normals are drawn.
         monkeypatch.setattr(simulate, "_ORACLE_CHUNK_STEPS", 1000)
         philox = simulate._philox
         error = RuntimeError("uniform draw failed")
@@ -116,19 +116,19 @@ class TestGapOracleWorker:
 
             def random(self, **kwargs):
                 if self.fail:
-                    failed.append(threading.get_ident())
+                    failed.append((threading.get_ident(),
+                                   threading.active_count()))
                     raise error
                 return self.rng.random(**kwargs)
 
         monkeypatch.setattr(simulate, "_philox", lambda seed, chunk:
                             FailingUniforms(philox(seed, chunk), chunk == 1))
-        before = threading.enumerate()
+        before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
             rd.simulate_gap_oracle(kappa=0.5, sigma=0.2, dt=1e-3,
                                    horizon=3.0, burn_in=0.0, seed=1)
         assert raised.value is error
-        assert failed and threading.get_ident() not in failed
-        assert len(threading.enumerate()) == len(before)
+        assert failed == [(threading.get_ident(), before)]
 
     @pytest.mark.parametrize("kappa, sigma", [(1e300, 0.2), (0.5, 1e200)],
                              ids=["kappa", "sigma"])
@@ -189,6 +189,12 @@ class TestSimulateRanked:
     def test_bad_config_rejected(self, override, message):
         with pytest.raises(rd.RankModelError, match=message):
             self.config(50, **override)
+
+    def test_bracket_off_integer_rank_rejected(self):
+        with pytest.raises(rd.RankModelError,
+                           match="bracket boundary 0.5% maps to non-integer "
+                                 "rank 0.5 at n=100"):
+            self.config(100, report_brackets=((0, 0.5), (0.5, 100)))
 
     def test_no_dynamics_constant_shares(self):
         n = 50
