@@ -138,7 +138,8 @@ def _load_config(args) -> RunConfig:
     block = dict(raw.get("simulation", {}))
     if getattr(args, "seed", None) is not None:
         block["seed"] = args.seed
-    # Every command checks the block; only simulate needs the seed.
+    # Every command checks the block and maps the brackets to ranks, before
+    # the fit; only simulate needs the seed.
     sim = SimConfig(n=n, report_brackets=report_brackets,
                     **{"seed": 0, **block})
     return RunConfig(n=n, sigma_variant=sigma_variant,
