@@ -247,7 +247,6 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
                 np.cumsum(dy, out=y[a:b])
                 dy[0] = first
                 run_sum = y[b - 1]
-            y_end = y_last + float(run_sum)
             for a, b in blocks:
                 dy, path = incr[a:b], y[a:b]
                 lows, tmp = low[:b - a], scratch[:b - a]
@@ -270,7 +269,7 @@ def simulate_gap_oracle(kappa: float, sigma: float, dt: float, horizon: float,
                 np.minimum(0.0, lows, out=tmp)
                 np.subtract(path, tmp, out=path)
             total += float(y[max(skip - start, 0):m].sum())
-            y_last = y_end
+            y_last += float(run_sum)
     average = total / (steps - skip)
     if not np.isfinite(average):
         raise RankModelError(
