@@ -65,6 +65,9 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
 #: best in each coordinate and within ``_FATOL`` of its value, or after
 #: ``_MAXITER`` iterations.
 _XATOL, _FATOL, _MAXITER = 1e-8, 1e-12, 3000
+#: The restart ladder ends at the first best value below ``_GOOD_ENOUGH``;
+#: a later start replaces the best only if lower by more than ``_MARGIN``.
+_GOOD_ENOUGH, _MARGIN = 1e-3, 1e-15
 
 _DEFAULT_VOL_BRACKETS = ((0.0, 10.0), (10.0, 20.0), (20.0, 40.0),
                          (40.0, 60.0), (60.0, 100.0))
@@ -138,7 +141,13 @@ def _knees(n: int, breakpoints) -> Tuple[int, int]:
         raise RankModelError(f"breakpoints {breakpoints} must be interior "
                              f"percents in increasing order")
     after_b1, b2 = bracket_to_ranks(breakpoints, n)
-    return after_b1 - 1, b2
+    b1 = after_b1 - 1
+    if not 1 <= b1 < b2 <= n - 2:
+        raise RankModelError(
+            f"breakpoints {breakpoints} put the knees at ranks {b1} and "
+            f"{b2} at n={n}; every fit segment needs a gap, so "
+            f"1 <= b1 < b2 <= n - 2")
+    return b1, b2
 
 
 def _shares_from_slopes(slopes: np.ndarray, b1: int, b2: int,
@@ -154,8 +163,9 @@ def _shares_from_slopes(slopes: np.ndarray, b1: int, b2: int,
 
 def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
                                  n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Return ``sums(slopes)``: the bracket sums of ``_shares_from_slopes``,
-    in O(1) time per call instead of O(n).
+    """Return ``sums(points)``: for each row of the ``(k, 3)`` array of
+    slope points, the bracket sums of ``_shares_from_slopes``, as a
+    ``(k, n_brackets)`` array, in O(k) time per call instead of O(k n).
 
     The fill-in is w_r = exp(c_j) * r**s_j on the pieces [1, b1+1],
     [b1+2, b2+1] and [b2+2, n], continuous at the knees, so each bracket
@@ -166,10 +176,17 @@ def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
     largest knot value, which bounds the whole curve, so no slope overflows.
     ``bounds`` are the bracket ends in rank, from 0 to n.
 
-    Each call evaluates the curve once, at one array of points: the head
-    ranks of every interval, then the upper ends ``hi`` of the intervals
-    with a tail, then their lower ends ``lo``.  The ends [hi, lo] are
-    stacked, so the corrections run once over both.
+    Each call evaluates the curve once, at one flat array of points: the
+    head ranks of every interval for every row, then the upper ends ``hi``
+    of the intervals with a tail for every row, then their lower ends
+    ``lo``.  The ends [hi, lo] are stacked, so the corrections run once
+    over both, and two ``bincount``s, each row's bins offset by the row,
+    add the terms up per bracket.  Each row's scalars are Python floats
+    and every array a ufunc reads is contiguous, so a row's sums have the
+    bits of a call with that row alone (a NaN's sign bit aside), whatever
+    else is in the batch: :func:`minimize` stacks the points of its
+    searches into one call.  The flat index arrays are built once for each
+    batch size k.
     """
     knees = np.array([b1 + 1, b2 + 1])
     cuts = np.union1d(bounds, knees)
@@ -192,38 +209,58 @@ def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
     span = np.log(hi / lo)
     tail_piece, tail_bracket = piece[tail], bracket[tail]
     n_head, n_tail = head_rank.size, hi.size
-    ends = np.concatenate([hi, lo])
-    ends_squared = ends * ends
-    point_piece = np.concatenate([piece[head], tail_piece, tail_piece])
-    # Gathers four per-piece rows of a call's flat table to the points.
-    point_index = 3 * np.arange(4)[:, None] + point_piece
-    point_log = np.log(np.concatenate([head_rank.astype(np.float64), ends]))
+    head_log, hi_log, lo_log = np.split(np.log(np.concatenate(
+        [head_rank.astype(np.float64), hi, lo])), [n_head, n_head + n_tail])
     # The falling factorial's factors (s - 2k) - 1 and (s - 2k) - 2 for the
     # updates k = 0, 1, 2 after the first correction, one row each.
     twice_k = np.repeat(2.0 * np.arange(len(_EM_COEFFS) - 1), 2)[:, None]
     one_two = np.tile([1.0, 2.0], len(_EM_COEFFS) - 1)[:, None]
+    layouts = {}
 
-    def sums(slopes: np.ndarray) -> np.ndarray:
-        s0, s1, s2 = np.asarray(slopes, dtype=np.float64).tolist()
-        c1 = (s0 - s1) * log_b1
-        c2 = c1 + (s1 - s2) * log_b2
-        top = max(0.0, s0 * log_b1, c1 + s1 * log_b2, c2 + s2 * log_n)
-        t0, t1, t2 = s0 + 1.0, s1 + 1.0, s2 + 1.0
-        shift, slope, t, rate = np.array([
-            0.0 - top, c1 - top, c2 - top, s0, s1, s2, t0, t1, t2,
-            abs(t0), abs(t1), abs(t2)]).take(point_index)
+    def layout(k: int):
+        """The flat arrays of a batch of k rows, built on its first call."""
+        if k not in layouts:
+            row = np.arange(k)[:, None]
+            tail_table = (12 * row + tail_piece).ravel()
+            point_table = np.concatenate([
+                (12 * row + piece[head]).ravel(), tail_table, tail_table])
+            ends = np.concatenate([np.tile(hi, k), np.tile(lo, k)])
+            layouts[k] = (
+                # Gathers four per-piece columns of row's table to its points.
+                3 * np.arange(4)[:, None] + point_table,
+                np.concatenate([np.tile(head_log, k), np.tile(hi_log, k),
+                                np.tile(lo_log, k)]),
+                (n_brackets * row + head_bracket).ravel(),
+                (n_brackets * row + tail_bracket).ravel(),
+                np.tile(span, k), ends, ends * ends)
+        return layouts[k]
+
+    def sums(points: np.ndarray) -> np.ndarray:
+        table = []
+        for s0, s1, s2 in np.asarray(points, dtype=np.float64).tolist():
+            c1 = (s0 - s1) * log_b1
+            c2 = c1 + (s1 - s2) * log_b2
+            top = max(0.0, s0 * log_b1, c1 + s1 * log_b2, c2 + s2 * log_n)
+            t0, t1, t2 = s0 + 1.0, s1 + 1.0, s2 + 1.0
+            table.append((0.0 - top, c1 - top, c2 - top, s0, s1, s2,
+                          t0, t1, t2, abs(t0), abs(t1), abs(t2)))
+        k = len(table)
+        (point_index, point_log, head_bins, tail_bins, spans, ends,
+         ends_squared) = layout(k)
+        heads, tails = k * n_head, k * n_tail
+        shift, slope, t, rate = np.array(table).take(point_index)
         f = np.exp(shift + slope * point_log)
-        out = np.bincount(head_bracket, f[:n_head], minlength=n_brackets)
+        out = np.bincount(head_bins, f[:heads], minlength=k * n_brackets)
 
-        f_ends, s_ends = f[n_head:], slope[n_head:]
-        f_hi, f_lo = f_ends[:n_tail], f_ends[n_tail:]
+        f_ends, s_ends = f[heads:], slope[heads:]
+        f_hi, f_lo = f_ends[:tails], f_ends[tails:]
         # Integral of f over [lo, hi], scaled by its larger end so that
         # the exponential never grows: f(hi) hi when s + 1 > 0, else f(lo) lo.
-        t, rate = t[n_head:n_head + n_tail], rate[n_head:n_head + n_tail]
-        shape = span.copy()
-        np.divide(-np.expm1(-rate * span), rate, out=shape, where=t != 0.0)
+        t, rate = t[heads:heads + tails], rate[heads:heads + tails]
+        shape = spans.copy()
+        np.divide(-np.expm1(-rate * spans), rate, out=shape, where=t != 0.0)
         scaled = f_ends * ends
-        integral = np.where(t > 0.0, scaled[:n_tail], scaled[n_tail:]) * shape
+        integral = np.where(t > 0.0, scaled[:tails], scaled[tails:]) * shape
 
         # sum_k B_2k / (2k)! * f^(2k-1)(x), with f^(m)(x) = f(x) (s)_m / x^m,
         # at both ends at once.
@@ -232,52 +269,42 @@ def _bracket_sums_in_closed_form(bounds: np.ndarray, b1: int, b2: int,
         # Starting from the first term, not from zeros, can flip only the
         # sign of a zero, which the bincount's sum drops.
         total = _EM_COEFFS[0] * falling
-        for k, coeff in enumerate(_EM_COEFFS[1:]):
-            falling = (falling * factors[2 * k] * factors[2 * k + 1]
+        for j, coeff in enumerate(_EM_COEFFS[1:]):
+            falling = (falling * factors[2 * j] * factors[2 * j + 1]
                        / ends_squared)
             total += coeff * falling
         corrections = f_ends * total
-        tails = (integral + 0.5 * (f_lo + f_hi)
-                 + corrections[:n_tail] - corrections[n_tail:])
-        out += np.bincount(tail_bracket, tails, minlength=n_brackets)
-        return out / out.sum()
+        tail_sums = (integral + 0.5 * (f_lo + f_hi)
+                     + corrections[:tails] - corrections[tails:])
+        out += np.bincount(tail_bins, tail_sums, minlength=k * n_brackets)
+        out = out.reshape(k, n_brackets)
+        return out / out.sum(axis=1, keepdims=True)
 
     return sums
 
 
 class SimplexResult(NamedTuple):
-    """Outcome of :func:`minimize`: the best vertex, its objective value and
-    the number of objective evaluations made."""
+    """Outcome of :func:`minimize`: the winning search's best vertex and
+    its objective value, the number of objective evaluations made by every
+    search, and the number of searches run."""
 
     x: np.ndarray
     fun: float
     nfev: int
+    restarts: int
 
 
-def minimize(objective: Callable[[np.ndarray], float],
-             start) -> SimplexResult:
-    """Nelder-Mead simplex search (Nelder & Mead, 1965) from ``start``.
+def _by_value(sim, fsim):
+    order = np.argsort(fsim)
+    return sim[order], fsim[order]
 
-    Takes the steps of scipy 1.17's ``minimize(objective, start,
-    method="Nelder-Mead")`` without bounds, with xatol 1e-8, fatol 1e-12
-    and maxiter 3000: the first simplex scales each coordinate of
-    ``start`` by 1.05 (0 becomes 0.00025); each iteration reflects the
-    worst vertex through the centroid of the others, then expands,
-    contracts outside or inside, or shrinks every vertex halfway to the
-    best, with ties resolved as scipy does.  ``objective`` gets a copy of
-    each point and returns a float.
+
+def _nelder_mead(start):
+    """One simplex search from ``start``, as a generator.
+
+    It yields each ``(m, dim)`` array of points it needs the values of,
+    is sent those m values, and returns its best vertex and value.
     """
-    nfev = 0
-
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return objective(np.copy(x))
-
-    def by_value(sim, fsim):
-        order = np.argsort(fsim)
-        return np.take(sim, order, 0), np.take(fsim, order, 0)
-
     x0 = np.array(start, dtype=np.float64)
     dim = x0.size
     sim = np.empty((dim + 1, dim))
@@ -285,44 +312,108 @@ def minimize(objective: Callable[[np.ndarray], float],
     for k in range(dim):
         sim[k + 1] = x0
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([evaluate(vertex) for vertex in sim], dtype=np.float64)
+    fsim = np.array((yield sim), dtype=np.float64)
     # scipy sorts twice here.  The second sort finds the values in order;
     # both are kept because argsort is not guaranteed stable on ties.
-    sim, fsim = by_value(*by_value(sim, fsim))
+    sim, fsim = _by_value(*_by_value(sim, fsim))
 
     iterations = 1
     while iterations < _MAXITER:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+        if (abs(sim[1:] - sim[0]).max() <= _XATOL
+                and abs(fsim[0] - fsim[1:]).max() <= _FATOL):
             break
         centroid = np.add.reduce(sim[:-1], 0) / dim
         worst = sim[-1]
         xr = 2 * centroid - worst
-        fxr = evaluate(xr)
+        fxr, = yield xr[None]
         if fxr < fsim[0]:
             xe = 3 * centroid - 2 * worst
-            fxe = evaluate(xe)
+            fxe, = yield xe[None]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
                 xc = 1.5 * centroid - 0.5 * worst
-                fxc = evaluate(xc)
+                fxc, = yield xc[None]
                 accept = fxc <= fxr
             else:
                 xc = 0.5 * centroid + 0.5 * worst
-                fxc = evaluate(xc)
+                fxc, = yield xc[None]
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                for j in range(1, dim + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = evaluate(sim[j])
+                # The shrunk vertices do not depend on each other's values.
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
         iterations += 1
-        sim, fsim = by_value(sim, fsim)
-    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev)
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
+def _in_lockstep(objective, starts):
+    """Run one search per start, advancing them together: each round
+    stacks the next points of every live search into one ``objective``
+    call.  Returns each search's (x, fun) and the evaluations made."""
+    searches = [_nelder_mead(start) for start in starts]
+    asks = [next(search) for search in searches]
+    results = [None] * len(searches)
+    live = list(range(len(searches)))
+    nfev = 0
+    while live:
+        values = np.asarray(objective(np.concatenate([asks[i] for i in live])),
+                            dtype=np.float64)
+        nfev += values.size
+        offset, still = 0, []
+        for i in live:
+            size = len(asks[i])
+            try:
+                asks[i] = searches[i].send(values[offset:offset + size])
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+            offset += size
+        live = still
+    return results, nfev
+
+
+def minimize(objective: Callable[[np.ndarray], np.ndarray],
+             starts) -> SimplexResult:
+    """Nelder-Mead simplex searches (Nelder & Mead, 1965) from a ladder
+    of ``starts``; the first good enough or else the best wins.
+
+    Each search takes the steps of scipy 1.17's ``minimize(objective,
+    start, method="Nelder-Mead")`` without bounds, with xatol 1e-8, fatol
+    1e-12 and maxiter 3000: the first simplex scales each coordinate of
+    ``start`` by 1.05 (0 becomes 0.00025); each iteration reflects the
+    worst vertex through the centroid of the others, then expands,
+    contracts outside or inside, or shrinks every vertex halfway to the
+    best, with ties resolved as scipy does.
+
+    ``objective`` takes a ``(k, dim)`` array of points and returns their
+    k values.  The first start runs alone, one point per call (the first
+    simplex and a shrink, whose points do not depend on each other's
+    values, in one call).  If its value is below 1e-3 it wins.  Otherwise
+    the other starts run in lockstep: each call holds the next points of
+    every search still running.  Each search's steps are those it takes
+    alone.  The winner is then found along the ladder: a later search
+    replaces the best so far only if its value is lower by more than
+    1e-15, and the first best below 1e-3 ends the ladder.
+    """
+    (best,), nfev = _in_lockstep(objective, starts[:1])
+    restarts = 1
+    if not best[1] < _GOOD_ENOUGH and len(starts) > 1:
+        results, more = _in_lockstep(objective, starts[1:])
+        nfev += more
+        restarts = len(starts)
+        for result in results:
+            if result[1] < best[1] - _MARGIN:
+                best = result
+            if best[1] < _GOOD_ENOUGH:
+                break
+    x, fun = best
+    return SimplexResult(x=x, fun=fun, nfev=nfev, restarts=restarts)
 
 
 def fit_piecewise_pareto(target: GroupedShares, n: int,
@@ -333,10 +424,9 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
     Log share is modeled as a continuous piecewise-linear function of log
     rank with three segments; the three slopes are chosen by the
     derivative-free simplex search of :func:`minimize` to minimize the
-    total absolute deviation between the fitted bracket sums and the
     target.  Restarts from a fixed ladder of starting simplices keep the
     search deterministic; the best objective wins, ties broken by restart
-    order.
+    order.  One :func:`minimize` call runs the whole ladder.
     """
     n = as_rank_count(n)
     b1, b2 = _knees(n, breakpoints)
@@ -357,16 +447,10 @@ def fit_piecewise_pareto(target: GroupedShares, n: int,
     else:
         sums = _bracket_sums_in_closed_form(bounds, b1, b2, n)
 
-        def objective(slopes) -> float:
-            return float(np.abs(sums(slopes) - target.shares).sum())
+        def objective(points) -> np.ndarray:
+            return np.abs(sums(points) - target.shares).sum(axis=1)
 
-        best = None
-        for start in _STARTS:
-            result = minimize(objective, start)
-            if best is None or result.fun < best.fun - 1e-15:
-                best = result
-            if best.fun < 1e-3:
-                break
+        best = minimize(objective, _STARTS)
         if not np.all(np.isfinite(best.x)):
             raise FitFailedError("piecewise log-log fit did not converge")
         slopes = np.asarray(best.x, dtype=np.float64)

@@ -128,6 +128,14 @@ class TestFitPiecewisePareto:
         ((0.01,), "breakpoints must be a pair"),
         (None, "breakpoints must be a pair"),
         ((10.0, 0.01), "must be interior percents in increasing order"),
+        # Knees that leave a fit segment with no gap at n = 10**4.
+        ((0.1, 100 - 1e-13), r"breakpoints \(0\.1, 99\.9999999999999\) put "
+                             r"the knees at ranks 10 and 10000 at n=10000; "
+                             r"every fit segment needs a gap"),
+        ((1e-300, 10.0), r"breakpoints \(1e-300, 10\.0\) put the knees at "
+                         r"ranks 0 and 1000 at n=10000"),
+        ((0.1, 99.99), r"breakpoints \(0\.1, 99\.99\) put the knees at "
+                       r"ranks 10 and 9999 at n=10000"),
         # Legal knees, but the best fit found drops its bottom segment so
         # steeply (slope near -1e5) that the shares below the 40% knee
         # underflow to equal zeros: the fill-in is not descending, though
@@ -136,6 +144,7 @@ class TestFitPiecewisePareto:
                        r"negative, but the shares underflow to zero from "
                        r"rank 4031 on\)"),
     ], ids=["number", "strings", "one_entry", "none", "decreasing",
+            "knee_at_rank_n", "knee_at_rank_0", "knee_at_rank_n_minus_1",
             "fit_fails"])
     @pytest.mark.parametrize("fit", [
         lambda bp: rd.fit_piecewise_pareto(TARGET_2012, 10**4, bp),
@@ -164,9 +173,9 @@ class TestFitPiecewisePareto:
             "not_converged"])
     def test_not_descending_names_the_cause(self, monkeypatch, slopes,
                                             message):
-        monkeypatch.setattr(calibration, "minimize", lambda objective, start:
+        monkeypatch.setattr(calibration, "minimize", lambda objective, starts:
                             calibration.SimplexResult(np.array(slopes), 0.5,
-                                                      1))
+                                                      1, 1))
         with pytest.raises(rd.FitFailedError, match=message):
             rd.fit_piecewise_pareto(TARGET_2012, 10**4)
 
@@ -203,7 +212,8 @@ class TestFitPiecewisePareto:
                                         fit_error, nfev, restarts):
         # The headline fits, and the small system of the benchmark's Monte
         # Carlo set-up, bit for bit: the Nelder-Mead path (every restart,
-        # every evaluation) and the reported error must not move.
+        # every evaluation) and the reported error must not move.  The fit
+        # makes one minimize call, which runs the whole ladder.
         results = []
         minimize = calibration.minimize
 
@@ -215,8 +225,9 @@ class TestFitPiecewisePareto:
         _shares, fit = rd.fit_piecewise_pareto(TARGET_2012, n, knees)
         assert fit.slopes == slopes
         assert fit.fit_error == fit_error
-        assert len(results) == restarts
-        assert sum(r.nfev for r in results) == nfev
+        assert len(results) == 1
+        assert results[0].restarts == restarts
+        assert results[0].nfev == nfev
 
 
 def reference_bracket_sums(bounds, b1, b2, n):
@@ -281,6 +292,24 @@ def reference_bracket_sums(bounds, b1, b2, n):
     return sums
 
 
+def assert_same_bits(actual, desired):
+    """Equal bit for bit, zeros' signs included; a NaN matches any NaN,
+    since numpy's loops may set a NaN's sign bit either way."""
+    nan = np.isnan(actual)
+    np.testing.assert_array_equal(nan, np.isnan(desired))
+    np.testing.assert_array_equal(actual[~nan].view(np.uint64),
+                                  desired[~nan].view(np.uint64))
+
+
+#: Slopes for batches of the closed form: its fit range, NaN, infinities and
+#: the extremes of ``test_extreme_slopes_stay_finite``.
+WILD_SLOPE = st.one_of(st.floats(-4.0, 1.0), st.sampled_from(
+    [-1.0, np.nan, np.inf, -np.inf, -300.0, 0.0, 300.0, 50.0, -80.0, 40.0]))
+EXTREMES = [(-300.0, 0.0, 0.0), (0.0, 0.0, 300.0), (50.0, -80.0, 40.0),
+            (np.nan, -1.0, -1.0), (-1.0, np.inf, -1.0), (-1.0, -1.0, -np.inf),
+            (-0.8, -1.0, -1.7), (-1.0, -1.0, -1.0)]
+
+
 class TestClosedFormBracketSums:
     """The fit's objective sums each bracket in closed form; it must agree
     with the bracket sums of the dense fill-in it stands for."""
@@ -303,8 +332,8 @@ class TestClosedFormBracketSums:
         shares = calibration._shares_from_slopes(slopes, b1, b2, n)
         cums = np.concatenate([[0.0], prefix_sum(shares)])
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
-        np.testing.assert_allclose(sums(slopes), np.diff(cums[bounds]),
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sums(slopes[None])[0],
+                                   np.diff(cums[bounds]), rtol=0, atol=1e-13)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.sampled_from([10**4, 10**5, 10**6]),
@@ -327,7 +356,35 @@ class TestClosedFormBracketSums:
         b1, b2 = calibration._knees(n, breakpoints)
         ours = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
         ref = reference_bracket_sums(bounds, b1, b2, n)
-        np.testing.assert_array_equal(ours(slopes), ref(slopes))
+        np.testing.assert_array_equal(ours(slopes[None])[0], ref(slopes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([10**4, 10**5, 10**6]),
+           breakpoints=st.sampled_from([(0.01, 10.0), (0.1, 10.0),
+                                        (0.5, 40.0)]),
+           batch=st.sampled_from([1, 3, 7, 8]).flatmap(
+               lambda k: st.lists(st.tuples(*[WILD_SLOPE] * 3),
+                                  min_size=k, max_size=k)))
+    @example(n=10**6, breakpoints=(0.01, 10.0), batch=EXTREMES)
+    @example(n=10**4, breakpoints=(0.1, 10.0), batch=EXTREMES[1:])
+    @example(n=10**5, breakpoints=(0.01, 10.0), batch=EXTREMES[:3])
+    @example(n=10**5, breakpoints=(0.5, 40.0), batch=EXTREMES[3:4])
+    def test_batch_rows_bitwise_equal(self, n, breakpoints, batch):
+        # Each row of a batch has the bits of that point summed alone, and
+        # of the frozen reference, whatever else is in the batch.
+        points = np.array(batch)
+        bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                                 for b in TARGET_2012.brackets])
+        b1, b2 = calibration._knees(n, breakpoints)
+        sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
+        ref = reference_bracket_sums(bounds, b1, b2, n)
+        # NaN and infinite slopes warn; the bits are what is checked here.
+        with np.errstate(all="ignore"):
+            rows = sums(points)
+            assert rows.shape == (len(batch), bounds.size - 1)
+            for row, point in zip(rows, points):
+                assert_same_bits(row, sums(point[None])[0])
+                assert_same_bits(row, ref(point))
 
     def test_extreme_slopes_stay_finite(self):
         n = 10**6
@@ -335,32 +392,40 @@ class TestClosedFormBracketSums:
                                  for b in TARGET_2012.brackets])
         b1, b2 = calibration._knees(n, (0.01, 10.0))
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
-        for slopes in [(-300.0, 0.0, 0.0), (0.0, 0.0, 300.0),
-                       (50.0, -80.0, 40.0)]:
-            out = sums(np.array(slopes))
-            assert np.all(np.isfinite(out))
-            assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        out = sums(np.array([(-300.0, 0.0, 0.0), (0.0, 0.0, 300.0),
+                             (50.0, -80.0, 40.0)]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def batched(objective):
+    """The point-at-a-time ``objective`` as :func:`calibration.minimize`
+    calls it: on a ``(k, dim)`` array, returning k values."""
+    return lambda points: [objective(point) for point in points]
+
+
+COORD = st.one_of(st.just(0.0), st.floats(-3.0, 1.0))
+START = st.tuples(COORD, COORD, COORD)
 
 
 class TestMinimizeMatchesScipy:
-    """``calibration.minimize`` takes the steps of scipy's Nelder-Mead with
-    the fit's settings: the same best vertex, value and evaluation count."""
-
-    COORD = st.one_of(st.just(0.0), st.floats(-3.0, 1.0))
-    START = st.tuples(COORD, COORD, COORD)
+    """``calibration.minimize`` from one start takes the steps of scipy's
+    Nelder-Mead with the fit's settings: the same best vertex, value and
+    evaluation count."""
 
     @staticmethod
     def check(objective, start):
         # Imported here, so that without scipy only these tests fail.
         from scipy.optimize import minimize as scipy_minimize
 
-        ours = calibration.minimize(objective, start)
+        ours = calibration.minimize(batched(objective), [start])
         ref = scipy_minimize(objective, start, method="Nelder-Mead",
                              options=dict(xatol=1e-8, fatol=1e-12,
                                           maxiter=3000))
         np.testing.assert_array_equal(ours.x, ref.x)
         assert ours.fun == ref.fun
         assert ours.nfev == ref.nfev
+        assert ours.restarts == 1
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from([10**4, 10**5]),
@@ -374,7 +439,8 @@ class TestMinimizeMatchesScipy:
                                  for b in TARGET_2012.brackets])
         b1, b2 = calibration._knees(n, breakpoints)
         sums = calibration._bracket_sums_in_closed_form(bounds, b1, b2, n)
-        self.check(lambda s: float(np.abs(sums(s) - TARGET_2012.shares).sum()),
+        self.check(lambda s: float(np.abs(sums(s[None])[0]
+                                          - TARGET_2012.shares).sum()),
                    start)
 
     @settings(max_examples=100, deadline=None)
@@ -396,6 +462,72 @@ class TestMinimizeMatchesScipy:
                                 + (1.0 - x[:-1]) ** 2))
 
         self.check(objective, start)
+
+
+class TestMinimizeLadder:
+    """Searches run in lockstep give what each start gives alone, plus the
+    ladder rule: the first start alone wins below 1e-3; otherwise all run,
+    a later one replaces the best only if lower by more than 1e-15, and the
+    first best below 1e-3 ends the ladder."""
+
+    @staticmethod
+    def expected(objective, starts):
+        alone = [calibration.minimize(objective, [start]) for start in starts]
+        assert all(result.restarts == 1 for result in alone)
+        best = alone[0]
+        if best.fun < 1e-3:
+            return best, best.nfev, 1
+        for result in alone[1:]:
+            if result.fun < best.fun - 1e-15:
+                best = result
+            if best.fun < 1e-3:
+                break
+        return best, sum(result.nfev for result in alone), len(starts)
+
+    def check(self, objective, starts):
+        best, nfev, restarts = self.expected(objective, starts)
+        calls = []
+
+        def recording(points):
+            calls.append(len(points))
+            return objective(points)
+
+        ours = calibration.minimize(recording, starts)
+        np.testing.assert_array_equal(ours.x, best.x)
+        assert ours.fun == best.fun
+        assert ours.nfev == nfev == sum(calls)
+        assert ours.restarts == restarts
+        # The first simplex of every search after the first is one call.
+        assert max(calls) == 4 * max(1, restarts - 1)
+
+    BOWLS = ((0.5, -1.0, 0.0), (-2.0, 0.5, -1.0), (-0.5, 0.5, -2.5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(starts=st.lists(START, min_size=1, max_size=8),
+           floors=st.tuples(*[st.sampled_from([0.0, 5e-4, 2e-3, 0.3])] * 3))
+    @example(starts=[BOWLS[0]] * 3, floors=(2e-3, 2e-3, 2e-3))
+    # The second start's 5e-4 ends the ladder before the third's 0 is seen.
+    @example(starts=list(BOWLS), floors=(0.3, 5e-4, 0.0))
+    @example(starts=[(0.0, 0.0, 0.0), BOWLS[1], BOWLS[0]],
+             floors=(2e-3, 5e-4, 0.3))
+    def test_three_bowls(self, starts, floors):
+        # Each start falls into one of three bowls; which one it reaches,
+        # and the bowls' floors, decide where the ladder stops.
+        def objective(x):
+            return min(float(np.sum((x - bowl) ** 2)) + floor
+                       for bowl, floor in zip(self.BOWLS, floors))
+
+        self.check(batched(objective), starts)
+
+    def test_fit_ladder(self):
+        n = 10**4
+        bounds = np.array([0] + [bracket_to_ranks(b, n)[1]
+                                 for b in TARGET_2012.brackets])
+        sums = calibration._bracket_sums_in_closed_form(
+            bounds, *calibration._knees(n, (0.1, 10.0)), n)
+        self.check(lambda points: np.abs(sums(points)
+                                         - TARGET_2012.shares).sum(axis=1),
+                   calibration._STARTS)
 
 
 class TestCalibrate:

@@ -351,6 +351,14 @@ class TestCommands:
         # Both ends of the middle bracket round to rank 5,000.
         ({"reporting_brackets": [[0, 50], [50, 50.00001], [50.00001, 100]]},
          ["project"], "bracket (50.0, 50.00001) holds no rank at n=10000"),
+        # Knees that leave a fit segment with no gap.
+        ({"breakpoints": [0.1, 99.9999999999999]}, ["calibrate"],
+         "breakpoints (0.1, 99.9999999999999) put the knees at ranks 10 and "
+         "10000 at n=10000; every fit segment needs a gap"),
+        ({"breakpoints": [1e-300, 10]}, ["calibrate"],
+         "breakpoints (1e-300, 10.0) put the knees at ranks 0 and 1000"),
+        ({"breakpoints": [0.1, 99.99]}, ["calibrate"],
+         "breakpoints (0.1, 99.99) put the knees at ranks 10 and 9999"),
     ], ids=["n_not_a_number", "n_zero", "negative_seed", "dt_not_a_number",
             "record_every_bool", "horizon_inf", "drift_clip_nan", "dt_null",
             "seed_not_integral", "unknown_key", "unknown_simulation_key",
@@ -366,7 +374,8 @@ class TestCommands:
             "out_dir_not_a_path", "calibrate_checks_seed",
             "tax_checks_drift_clip", "report_checks_horizon",
             "project_checks_steps", "n_beyond_numpy", "n_beyond_memory",
-            "reporting_bracket_holds_no_rank"])
+            "reporting_bracket_holds_no_rank", "knee_at_rank_n",
+            "knee_at_rank_0", "knee_at_rank_n_minus_1"])
     def test_bad_input_exits_1_with_error(self, tmp_path, capsys, overrides,
                                           argv, message):
         cfg = tmp_path / "cfg.json"
